@@ -49,16 +49,15 @@ func appendLen(b []byte, n int) []byte {
 func AppendCanon(b []byte, d Dist) ([]byte, error) {
 	switch v := d.(type) {
 	case Exponential:
-		return appendFloat(append(b, canonExponential), v.Rate), nil
+		return appendExponential(b, v), nil
 	case Deterministic:
-		return appendFloat(append(b, canonDeterministic), v.Value), nil
+		return appendDeterministic(b, v), nil
 	case Uniform:
 		return appendFloat(appendFloat(append(b, canonUniform), v.Lo), v.Hi), nil
 	case Pareto:
 		return appendFloat(appendFloat(append(b, canonPareto), v.Xm), v.Alpha), nil
 	case TruncatedPareto:
-		b = appendFloat(append(b, canonTruncatedPareto), v.Xm)
-		return appendFloat(appendFloat(b, v.Alpha), v.Max), nil
+		return appendTruncatedPareto(b, v), nil
 	case LogNormal:
 		return appendFloat(appendFloat(append(b, canonLogNormal), v.Mu), v.Sigma), nil
 	case Erlang:
@@ -107,4 +106,37 @@ func AppendCanon(b []byte, d Dist) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("dist: no canonical encoding for %T", d)
 	}
+}
+
+// AppendCanonForRate appends the canonical encoding of ForRate(kind,
+// rate), the bytes AppendCanon(b, ForRate(kind, rate)) appends, without
+// boxing the distribution in an interface, so encoding a derived arrival
+// process allocates nothing. It panics where ForRate does.
+func AppendCanonForRate(b []byte, kind Kind, rate float64) []byte {
+	if rate <= 0 {
+		panic(fmt.Sprintf("dist: arrival rate %v must be positive", rate))
+	}
+	switch kind {
+	case KindExponential:
+		return appendExponential(b, NewExponential(rate))
+	case KindPareto:
+		return appendTruncatedPareto(b, ParetoForRate(rate, ParetoAlpha, paretoCapFactor))
+	case KindDeterministic:
+		return appendDeterministic(b, Deterministic{Value: 1 / rate})
+	default:
+		panic(fmt.Sprintf("dist: unknown distribution kind %q", kind))
+	}
+}
+
+func appendExponential(b []byte, v Exponential) []byte {
+	return appendFloat(append(b, canonExponential), v.Rate)
+}
+
+func appendDeterministic(b []byte, v Deterministic) []byte {
+	return appendFloat(append(b, canonDeterministic), v.Value)
+}
+
+func appendTruncatedPareto(b []byte, v TruncatedPareto) []byte {
+	b = appendFloat(append(b, canonTruncatedPareto), v.Xm)
+	return appendFloat(appendFloat(b, v.Alpha), v.Max)
 }

@@ -117,3 +117,19 @@ func TestCanonUnknownTypeErrors(t *testing.T) {
 		t.Fatal("unknown mixture component must refuse a canonical encoding")
 	}
 }
+
+// TestAppendCanonForRateMatchesForRate: the unboxed encoding of a derived
+// arrival process must be byte-identical to encoding ForRate's value, for
+// every kind, or sweep keys would change.
+func TestAppendCanonForRateMatchesForRate(t *testing.T) {
+	prefix := []byte("key-prefix")
+	for _, k := range Kinds() {
+		for _, rate := range []float64{1e-4, 0.013, 0.5, 7} {
+			want := append(append([]byte(nil), prefix...), mustCanon(t, ForRate(k, rate))...)
+			got := AppendCanonForRate(append([]byte(nil), prefix...), k, rate)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s at rate %v: %x, want %x", k, rate, got, want)
+			}
+		}
+	}
+}

@@ -249,18 +249,21 @@ func (p *Profiler) RunCondition(cond Condition, seed uint64) (Observation, float
 			Seed:        seed + uint64(rep)*0x9e3779b9,
 		})
 		m.runs.Inc()
-		rts = append(rts, res.ResponseTimes()...)
+		for i := range res.Queries {
+			rts = append(rts, res.Queries[i].ResponseTime())
+		}
 		sprinted += res.SprintedCount
 		total += len(res.Queries)
 		dur += res.Duration
 	}
-	sum := stats.Summarize(rts)
+	// The mean sums in replication order before selection reorders rts.
+	mean := stats.Mean(rts)
 	return Observation{
 		Cond:         cond,
 		ArrivalRate:  cond.Utilization * pp.sustainedRate(),
-		MeanRT:       sum.Mean,
-		P95RT:        sum.P95,
-		P99RT:        sum.P99,
+		MeanRT:       mean,
+		P95RT:        stats.SelectQuantile(rts, 0.95),
+		P99RT:        stats.SelectQuantile(rts, 0.99),
 		SprintedFrac: float64(sprinted) / float64(total),
 	}, dur
 }

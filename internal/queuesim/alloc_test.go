@@ -144,3 +144,27 @@ func TestFIFOBoundedLiveQueries(t *testing.T) {
 			res.MaxLive, p.NumQueries)
 	}
 }
+
+// TestPredictSerialZeroAllocs pins the sweep engine's prediction
+// primitive: serial Predict replays on a pooled Runner that owns the
+// replay result and the pooled response-time buffer, and takes its tails
+// by in-place selection, so a steady-state prediction allocates nothing.
+func TestPredictSerialZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets do not hold under the race detector")
+	}
+	p := allocParams()
+	for i := 0; i < 3; i++ {
+		if _, err := Predict(p, 4, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := Predict(p, 4, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state serial Predict allocated %.1f objects per call, want 0", allocs)
+	}
+}

@@ -458,6 +458,12 @@ type Runner struct {
 
 	res  *Result
 	mres *MultiResult
+
+	// Predict's serial path replays into predRes and pools every
+	// replication's response times into pooledRTs; both keep their
+	// capacity across predictions.
+	predRes   Result
+	pooledRTs []float64
 }
 
 // NewRunner returns an empty reusable runner.
@@ -1104,7 +1110,10 @@ type Prediction struct {
 // This is the prediction primitive behind Figure 11's throughput study.
 // Replications are sharded in contiguous chunks, one reusable Runner per
 // worker, and each replication's seed depends only on its index — so the
-// pooled output is bit-identical regardless of worker count.
+// pooled output is bit-identical regardless of worker count. With one
+// worker (the sweep engine's setting) the pooled Runner also owns the
+// replay result and the pooled response-time buffer, so a steady-state
+// prediction allocates nothing.
 func Predict(p Params, reps, workers int) (Prediction, error) {
 	if err := p.validate(); err != nil {
 		return Prediction{}, err
@@ -1118,70 +1127,83 @@ func Predict(p Params, reps, workers int) (Prediction, error) {
 	if workers > reps {
 		workers = reps
 	}
-	all := make([][]float64, reps)
-	runRep := func(r *Runner, i int) error {
-		pi := p
-		pi.Seed = repSeed(p.Seed, i)
-		var res Result
-		if err := r.RunInto(pi, &res); err != nil {
-			return err
-		}
-		all[i] = res.RTs
-		return nil
-	}
 	if workers == 1 {
 		r := getRunner()
+		defer putRunner(r)
+		pooled := r.pooledRTs[:0]
 		for i := 0; i < reps; i++ {
-			if err := runRep(r, i); err != nil {
-				putRunner(r)
+			pi := p
+			pi.Seed = repSeed(p.Seed, i)
+			if err := r.RunInto(pi, &r.predRes); err != nil {
 				return Prediction{}, err
 			}
+			pooled = append(pooled, r.predRes.RTs...)
 		}
-		putRunner(r)
-	} else {
-		chunk := (reps + workers - 1) / workers
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > reps {
-				hi = reps
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			//lint:ignore ctxleak bounded fork-join: replications always complete and are joined before Predict returns
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				r := getRunner()
-				defer putRunner(r)
-				for i := lo; i < hi; i++ {
-					if err := runRep(r, i); err != nil {
-						errs[w] = err
-						return
-					}
+		r.pooledRTs = pooled
+		return pooledPrediction(pooled, reps), nil
+	}
+	return predictParallel(p, reps, workers)
+}
+
+// predictParallel is Predict's fork-join path over workers > 1. It lives
+// apart so the goroutines' captures cannot move the serial path's Params
+// to the heap.
+func predictParallel(p Params, reps, workers int) (Prediction, error) {
+	all := make([][]float64, reps)
+	chunk := (reps + workers - 1) / workers
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo := w * chunk
+		hi := lo + chunk
+		if hi > reps {
+			hi = reps
+		}
+		if lo >= hi {
+			break
+		}
+		wg.Add(1)
+		//lint:ignore ctxleak bounded fork-join: replications always complete and are joined before Predict returns
+		go func(w, lo, hi int) {
+			defer wg.Done()
+			r := getRunner()
+			defer putRunner(r)
+			for i := lo; i < hi; i++ {
+				pi := p
+				pi.Seed = repSeed(p.Seed, i)
+				var res Result
+				if err := r.RunInto(pi, &res); err != nil {
+					errs[w] = err
+					return
 				}
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return Prediction{}, err
+				all[i] = res.RTs
 			}
+		}(w, lo, hi)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return Prediction{}, err
 		}
 	}
 	pooled := make([]float64, 0, reps*p.NumQueries)
 	for _, rts := range all {
 		pooled = append(pooled, rts...)
 	}
-	sum := stats.Summarize(pooled)
+	return pooledPrediction(pooled, reps), nil
+}
+
+// pooledPrediction summarizes the response times of reps replications
+// pooled in replication order. The mean sums in that order, before the
+// tail selection reorders pooled, so every field equals what
+// stats.Summarize reports for the same pool, bit for bit.
+func pooledPrediction(pooled []float64, reps int) Prediction {
+	mean := stats.Mean(pooled)
 	return Prediction{
-		MeanRT:           sum.Mean,
-		P95RT:            sum.P95,
-		P99RT:            sum.P99,
+		MeanRT:           mean,
+		P95RT:            stats.SelectQuantile(pooled, 0.95),
+		P99RT:            stats.SelectQuantile(pooled, 0.99),
 		Replications:     reps,
 		QueriesSimulated: len(pooled),
-	}, nil
+	}
 }

@@ -7,6 +7,8 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -104,13 +106,128 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	if n == 1 {
 		return sorted[0]
 	}
-	pos := q * float64(n-1)
-	lo := int(pos)
+	lo, frac := quantilePos(n, q)
 	if lo >= n-1 {
 		return sorted[n-1]
 	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	return interpolate(sorted[lo], sorted[lo+1], frac)
+}
+
+// quantilePos locates the q-th quantile of n > 1 sorted values: it lies
+// frac of the way from order statistic lo to lo+1 (lo >= n-1 means the
+// maximum).
+func quantilePos(n int, q float64) (lo int, frac float64) {
+	pos := q * float64(n-1)
+	lo = int(pos)
+	return lo, pos - float64(lo)
+}
+
+// interpolate is the linear interpolation every quantile here shares, so
+// sorted and selected quantiles round identically.
+func interpolate(a, b, frac float64) float64 { return a*(1-frac) + b*frac }
+
+// SelectQuantile returns exactly Quantile(xs, q), bit for bit, by
+// selecting the two order statistics it interpolates between instead of
+// sorting a copy. It reorders xs in place and allocates nothing. Values
+// order as sort.Float64s orders them (NaN first), so the result is
+// identical whenever values that compare equal are bitwise equal — that
+// is, unless xs mixes -0 with +0 or holds NaNs with different payloads.
+func SelectQuantile(xs []float64, q float64) float64 {
+	n := len(xs)
+	if n == 0 || q < 0 || q > 1 {
+		return math.NaN()
+	}
+	if n == 1 {
+		return xs[0]
+	}
+	lo, frac := quantilePos(n, q)
+	if lo >= n-1 {
+		return orderMax(xs)
+	}
+	selectKth(xs, lo)
+	return interpolate(xs[lo], orderMin(xs[lo+1:]), frac)
+}
+
+// floatLess is sort.Float64s's order: ascending, NaN before everything.
+func floatLess(a, b float64) bool { return a < b || (math.IsNaN(a) && !math.IsNaN(b)) }
+
+// orderMin returns the first element of xs under floatLess.
+func orderMin(xs []float64) float64 {
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if floatLess(x, m) {
+			m = x
+		}
+	}
+	return m
+}
+
+// orderMax returns the last element of xs under floatLess.
+func orderMax(xs []float64) float64 {
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if floatLess(m, x) {
+			m = x
+		}
+	}
+	return m
+}
+
+// selectKth partially orders xs so that xs[k] holds the k-th order
+// statistic under floatLess, everything before it is no greater and
+// everything after it no smaller. It is a three-way-partition quickselect
+// (runs of equal values cost one pass) with a median-of-three pivot, and
+// falls back to sorting the remaining range if the partitions stop
+// shrinking, so its worst case stays O(n log n).
+func selectKth(xs []float64, k int) {
+	lo, hi := 0, len(xs)
+	budget := 2 * bits.Len(uint(len(xs)))
+	for hi-lo > 12 {
+		if budget == 0 {
+			slices.Sort(xs[lo:hi])
+			return
+		}
+		budget--
+		p := median3(xs[lo], xs[lo+(hi-lo)/2], xs[hi-1])
+		// Dutch-flag partition: [lo,lt) < p, [lt,i) == p, [gt,hi) > p.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch x := xs[i]; {
+			case floatLess(x, p):
+				xs[lt], xs[i] = x, xs[lt]
+				lt++
+				i++
+			case floatLess(p, x):
+				gt--
+				xs[i], xs[gt] = xs[gt], x
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return
+		}
+	}
+	slices.Sort(xs[lo:hi])
+}
+
+// median3 returns the median of three values under floatLess.
+func median3(a, b, c float64) float64 {
+	if floatLess(b, a) {
+		a, b = b, a
+	}
+	if floatLess(c, b) {
+		b = c
+		if floatLess(b, a) {
+			b = a
+		}
+	}
+	return b
 }
 
 // Median returns the 50th percentile of xs.

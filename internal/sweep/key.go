@@ -3,8 +3,10 @@ package sweep
 import (
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math"
+	"sync"
 
 	"mdsprint/internal/dist"
 	"mdsprint/internal/queuesim"
@@ -37,6 +39,20 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
+// keyScratch is Fingerprint's reusable encoding state: the canonical
+// byte buffer, which grows once to the largest encoding seen (an
+// Empirical service resampling 1500 measured times encodes to ~12 KiB),
+// the hasher, and the digest it writes.
+type keyScratch struct {
+	buf []byte
+	h   hash.Hash
+	sum [16]byte
+}
+
+var keyScratchPool = sync.Pool{New: func() any {
+	return &keyScratch{buf: make([]byte, 0, 256), h: fnv.New128a()}
+}}
+
 // Fingerprint computes the memoization key for evaluating p with reps
 // pooled replications. The encoding covers the canonicalized Params
 // (defaults applied, arrival distribution resolved) plus reps; Tracer and
@@ -44,33 +60,35 @@ func appendString(b []byte, s string) []byte {
 // its measured response times. Distributions without a canonical encoding
 // (types outside internal/dist's catalog) return an error, which the
 // engine treats as "uncacheable" rather than risking a collision.
+// Encoding and hashing reuse pooled scratch, so a steady-state call
+// allocates nothing.
 func Fingerprint(p queuesim.Params, reps int) (Key, error) {
 	if reps <= 0 {
 		reps = 1
 	}
 	c := p.Canonical()
-	arrival := c.Arrival
-	if arrival == nil {
-		// Run derives the arrival process from (ArrivalKind,
-		// ArrivalRate) when none is given; resolving it here makes the
-		// explicit and the derived spelling of the same process hash
-		// identically. Mirror queuesim's validation rather than
-		// panicking inside dist.ForRate on garbage input.
-		if c.ArrivalRate <= 0 || math.IsNaN(c.ArrivalRate) {
-			return Key{}, fmt.Errorf("sweep: arrival rate %v must be positive", c.ArrivalRate)
-		}
-		arrival = dist.ForRate(c.ArrivalKind, c.ArrivalRate)
+	if c.Arrival == nil && (c.ArrivalRate <= 0 || math.IsNaN(c.ArrivalRate)) {
+		// Mirror queuesim's validation rather than panicking inside
+		// dist.AppendCanonForRate on garbage input.
+		return Key{}, fmt.Errorf("sweep: arrival rate %v must be positive", c.ArrivalRate)
 	}
 	if c.Service == nil {
 		return Key{}, fmt.Errorf("sweep: service distribution required")
 	}
-	b := make([]byte, 0, 256)
+	ks := keyScratchPool.Get().(*keyScratch)
+	defer keyScratchPool.Put(ks)
 	// v2 added the discipline, server count and dispatcher fields; the
 	// version bump retires every v1 key rather than risking a stale hit.
-	b = appendString(b, "mdsprint/sweep/v2")
+	b := appendString(ks.buf[:0], "mdsprint/sweep/v2")
 	b = appendFloat(b, c.ArrivalRate)
 	var err error
-	if b, err = dist.AppendCanon(b, arrival); err != nil {
+	if c.Arrival == nil {
+		// Run derives the arrival process from (ArrivalKind,
+		// ArrivalRate) when none is given; encoding the derived process
+		// makes the explicit and the derived spelling of the same
+		// process hash identically.
+		b = dist.AppendCanonForRate(b, c.ArrivalKind, c.ArrivalRate)
+	} else if b, err = dist.AppendCanon(b, c.Arrival); err != nil {
 		return Key{}, err
 	}
 	if b, err = dist.AppendCanon(b, c.Service); err != nil {
@@ -99,12 +117,13 @@ func Fingerprint(p queuesim.Params, reps int) (Key, error) {
 	}
 	b = appendString(b, dispatchCanon)
 	b = appendUint(b, uint64(reps))
+	ks.buf = b
 
-	h := fnv.New128a()
+	ks.h.Reset()
 	// hash.Hash.Write never returns an error.
 	//lint:ignore errdrop fnv's Write is documented to never fail
-	h.Write(b)
+	ks.h.Write(b)
 	var k Key
-	h.Sum(k[:0])
+	copy(k[:], ks.h.Sum(ks.sum[:0]))
 	return k, nil
 }

@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"math"
+	"sync"
 
 	"mdsprint/internal/dist"
 	"mdsprint/internal/sim"
@@ -12,10 +13,9 @@ import (
 // execution tracks one query through the queue manager and execution
 // engine. Progress is maintained piecewise: tau is the work fraction
 // completed at segStart, and the current segment runs either at the
-// sustained rate or along the sprint curve.
+// sustained rate or along the sprint curve. Executions live in one slab
+// indexed by query ID; the query's record is records[ID].
 type execution struct {
-	rec   *QueryRecord
-	class *workload.Class
 	curve *workload.SprintCurve
 
 	tau      float64 // progress at segment start
@@ -30,70 +30,113 @@ type execution struct {
 	sprintStart float64
 	pending     bool // timeout fired while queued: sprint at dispatch
 
-	departEv  *sim.Event
-	timeoutEv *sim.Event
+	departEv  sim.Handle
+	timeoutEv sim.Handle
 }
 
 // server wires Figure 3 together: query generator (arrival events), FIFO
 // queue manager with timeout interrupts and budget accounting, and an
 // execution engine with a fixed number of slots.
+//
+// Servers are pooled across runs: the event engine, its registered
+// callbacks, the execution slab and the running set keep their capacity,
+// so a run allocates a constant number of objects however many queries
+// it simulates.
 type server struct {
-	cfg  Config
-	eng  *sim.Engine
-	rng  *dist.RNG
+	cfg Config
+	eng *sim.PooledEngine
+	rng dist.RNG
+
+	cbArrive, cbTimeout, cbDepart, cbBudget sim.CallbackID
+
 	acct *sprint.Accountant
 
 	interarrival dist.Dist
-	serviceDists map[*workload.Class]dist.Dist
-	curves       map[*workload.Class]*workload.SprintCurve
+	// Per mix component, indexed like cfg.Mix.Components.
+	serviceDists []dist.Dist
+	curves       []*workload.SprintCurve
 	toggleCost   float64
 
-	queue     []*execution
-	runningEx []*execution
+	// The FIFO queue is the ID range [head, arrived): queries enter in
+	// arrival order, which is ID order, and leave from the head.
+	head      int
+	execs     []execution
+	runningEx []int32 // query IDs in dispatch order
 	freeSlots int
 
-	budgetEv *sim.Event
+	budgetEv sim.Handle
 
-	records  []QueryRecord
-	arrived  int
-	departed int
-	total    int
-	lastDep  float64
+	records []QueryRecord
+	arrived int
+	total   int
+	lastDep float64
 }
 
-func newServer(cfg Config) *server {
-	interarrival := cfg.ArrivalOverride
-	if interarrival == nil {
-		interarrival = dist.ForRate(cfg.ArrivalKind, cfg.ArrivalRate)
-	}
-	s := &server{
-		cfg:          cfg,
-		eng:          sim.New(),
-		rng:          dist.NewRNG(cfg.Seed),
-		interarrival: interarrival,
-		serviceDists: make(map[*workload.Class]dist.Dist),
-		curves:       make(map[*workload.Class]*workload.SprintCurve),
-		freeSlots:    cfg.Slots,
-		total:        cfg.NumQueries + cfg.Warmup,
+var serverPool = sync.Pool{New: func() any { return newServer() }}
+
+// newServer builds an empty server and registers its callbacks once.
+func newServer() *server {
+	s := &server{eng: sim.NewPooled()}
+	s.cbArrive = s.eng.Register(func(int32) { s.arrive() })
+	s.cbTimeout = s.eng.Register(s.onTimeout)
+	s.cbDepart = s.eng.Register(s.depart)
+	s.cbBudget = s.eng.Register(func(int32) { s.onBudgetEmpty() })
+	return s
+}
+
+// reset prepares s for one run of cfg (defaults applied), keeping every
+// pooled buffer's capacity.
+func (s *server) reset(cfg Config) {
+	s.cfg = cfg
+	s.eng.Reset()
+	s.rng.Reseed(cfg.Seed)
+	s.interarrival = cfg.ArrivalOverride
+	if s.interarrival == nil {
+		s.interarrival = dist.ForRate(cfg.ArrivalKind, cfg.ArrivalRate)
 	}
 	s.acct = sprint.ForPolicy(cfg.Policy)
+	s.toggleCost = 0
 	if !cfg.DisableRuntimeEffects {
 		s.toggleCost = cfg.Mechanism.ToggleOverhead()
 	}
+	s.serviceDists = s.serviceDists[:0]
+	s.curves = s.curves[:0]
 	for _, comp := range cfg.Mix.Components {
 		c := comp.Class
 		// Service times at this mechanism's sustained operating
 		// point, including mix interference.
-		if cfg.ServiceOverride != nil {
-			s.serviceDists[c] = cfg.ServiceOverride
-		} else {
+		svc := cfg.ServiceOverride
+		if svc == nil {
 			meanSvc := 1 / sprint.QPH(cfg.Mechanism.SustainedQPH(c)) * cfg.Mix.Interference
-			s.serviceDists[c] = dist.LogNormalFromMeanCV(meanSvc, c.ServiceCV)
+			svc = dist.LogNormalFromMeanCV(meanSvc, c.ServiceCV)
 		}
-		s.curves[c] = s.buildCurve(c)
+		s.serviceDists = append(s.serviceDists, svc)
+		s.curves = append(s.curves, s.buildCurve(c))
 	}
+	s.total = cfg.NumQueries + cfg.Warmup
 	s.records = make([]QueryRecord, s.total)
-	return s
+	if cap(s.execs) < s.total {
+		s.execs = make([]execution, s.total)
+	}
+	s.execs = s.execs[:s.total]
+	s.head = 0
+	s.runningEx = s.runningEx[:0]
+	s.freeSlots = cfg.Slots
+	s.budgetEv = sim.Handle{}
+	s.arrived = 0
+	s.lastDep = 0
+}
+
+// release drops every reference to the finished run's inputs and outputs
+// so a pooled server keeps none of them alive.
+func (s *server) release() {
+	s.cfg = Config{}
+	s.interarrival = nil
+	s.acct = nil
+	clear(s.serviceDists)
+	clear(s.curves)
+	clear(s.execs)
+	s.records = nil
 }
 
 // buildCurve returns the sprint curve for class c: the mechanism's
@@ -118,24 +161,26 @@ func (s *server) run() {
 	if s.total == 0 {
 		return
 	}
-	s.eng.Schedule(s.interarrival.Sample(s.rng), s.arrive)
+	s.eng.Schedule(s.interarrival.Sample(&s.rng), s.cbArrive, 0)
 	s.eng.RunAll()
 }
 
+// result returns the measured records: every query arrives and departs,
+// and warmup queries are the first Warmup IDs, so the measured ones are
+// the records' tail.
 func (s *server) result() *Result {
-	measured := make([]QueryRecord, 0, s.cfg.NumQueries)
+	measured := s.records[s.cfg.Warmup:]
 	sprinted := 0
-	for i := range s.records {
-		if s.records[i].Warm {
-			continue
-		}
-		measured = append(measured, s.records[i])
-		if s.records[i].Sprinted {
+	for i := range measured {
+		if measured[i].Sprinted {
 			sprinted++
 		}
 	}
 	return &Result{Config: s.cfg, Queries: measured, SprintedCount: sprinted, Duration: s.lastDep}
 }
+
+// queueLen is the number of arrived queries not yet dispatched.
+func (s *server) queueLen() int { return s.arrived - s.head }
 
 // arrive admits the next query: timestamp it, enqueue, arm its timeout and
 // schedule the following arrival.
@@ -143,22 +188,21 @@ func (s *server) arrive() {
 	now := s.eng.Now()
 	id := s.arrived
 	s.arrived++
-	class := s.cfg.Mix.Pick(s.rng)
-	rec := &s.records[id]
-	*rec = QueryRecord{
+	ci := s.cfg.Mix.PickIndex(&s.rng)
+	s.records[id] = QueryRecord{
 		ID:          id,
-		Class:       class.Name,
+		Class:       s.cfg.Mix.Components[ci].Class.Name,
 		Arrival:     now,
-		ServiceTime: s.serviceDists[class].Sample(s.rng),
+		ServiceTime: s.serviceDists[ci].Sample(&s.rng),
 		Warm:        id < s.cfg.Warmup,
 	}
-	e := &execution{rec: rec, class: class, curve: s.curves[class]}
-	s.queue = append(s.queue, e)
+	e := &s.execs[id]
+	*e = execution{curve: s.curves[ci]}
 	if p := s.cfg.Policy; !p.SprintingDisabled() {
-		e.timeoutEv = s.eng.Schedule(now+p.Timeout, func() { s.onTimeout(e) })
+		e.timeoutEv = s.eng.Schedule(now+p.Timeout, s.cbTimeout, int32(id))
 	}
 	if s.arrived < s.total {
-		s.eng.After(s.interarrival.Sample(s.rng), s.arrive)
+		s.eng.After(s.interarrival.Sample(&s.rng), s.cbArrive, 0)
 	}
 	s.dispatch()
 }
@@ -166,42 +210,47 @@ func (s *server) arrive() {
 // dispatch moves queries from the queue head into free execution slots.
 func (s *server) dispatch() {
 	now := s.eng.Now()
-	for s.freeSlots > 0 && len(s.queue) > 0 {
-		e := s.queue[0]
-		s.queue = s.queue[1:]
+	for s.freeSlots > 0 && s.queueLen() > 0 {
+		id := s.head
+		s.head++
+		e := &s.execs[id]
+		rec := &s.records[id]
 		s.freeSlots--
 		e.running = true
-		e.rec.Start = now
+		rec.Start = now
 		e.tau = 0
 		e.segStart = now
-		s.runningEx = append(s.runningEx, e)
+		s.runningEx = append(s.runningEx, int32(id))
 		if e.pending && s.acct.CanSprint(now) {
-			s.engageSprint(e)
+			s.engageSprint(int32(id))
 		} else {
-			e.departEv = s.eng.Schedule(now+e.rec.ServiceTime, func() { s.depart(e) })
+			e.departEv = s.eng.Schedule(now+rec.ServiceTime, s.cbDepart, int32(id))
 		}
 	}
 }
 
-// progressAt returns the work fraction e has completed by time now.
-func (s *server) progressAt(e *execution, now float64) float64 {
+// progressAt returns the work fraction query id has completed by time now.
+func (s *server) progressAt(id int32, now float64) float64 {
+	e := &s.execs[id]
+	svc := s.records[id].ServiceTime
 	elapsed := now - e.segStart
 	if !e.sprint {
-		tau := e.tau + elapsed/e.rec.ServiceTime
+		tau := e.tau + elapsed/svc
 		return math.Min(tau, 1)
 	}
 	elapsed -= e.toggle
 	if elapsed < 0 {
 		elapsed = 0
 	}
-	return e.curve.ProgressAfter(e.rec.ServiceTime, e.tau, elapsed/e.stretch)
+	return e.curve.ProgressAfter(svc, e.tau, elapsed/e.stretch)
 }
 
 // onTimeout handles the timer interrupt of Section 2.1: queued queries are
 // marked to sprint at dispatch; executing queries sprint immediately,
 // budget permitting.
-func (s *server) onTimeout(e *execution) {
-	e.rec.TimedOut = true
+func (s *server) onTimeout(id int32) {
+	e := &s.execs[id]
+	s.records[id].TimedOut = true
 	now := s.eng.Now()
 	if !e.running {
 		e.pending = true
@@ -209,28 +258,29 @@ func (s *server) onTimeout(e *execution) {
 	}
 	if !e.sprint && s.acct.CanSprint(now) {
 		// Roll progress forward to now, then switch segments.
-		e.tau = s.progressAt(e, now)
+		e.tau = s.progressAt(id, now)
 		e.segStart = now
-		s.engageSprint(e)
+		s.engageSprint(id)
 	}
 }
 
-// engageSprint switches e to sprinting from its current (tau, segStart)
-// and replans its departure. Caller must have updated tau/segStart to now.
-func (s *server) engageSprint(e *execution) {
+// engageSprint switches query id to sprinting from its current (tau,
+// segStart) and replans its departure. Caller must have updated
+// tau/segStart to now.
+func (s *server) engageSprint(id int32) {
+	e := &s.execs[id]
+	rec := &s.records[id]
 	now := s.eng.Now()
 	s.acct.StartSprint(now)
 	e.sprint = true
 	e.toggle = s.toggleCost
 	e.stretch = s.sprintStretch(e)
 	e.sprintStart = now
-	e.rec.Sprinted = true
-	e.rec.SprintTau = e.tau
-	remaining := e.toggle + e.stretch*e.curve.SprintedRemaining(e.rec.ServiceTime, e.tau)
-	if e.departEv != nil {
-		s.eng.Cancel(e.departEv)
-	}
-	e.departEv = s.eng.Schedule(now+remaining, func() { s.depart(e) })
+	rec.Sprinted = true
+	rec.SprintTau = e.tau
+	remaining := e.toggle + e.stretch*e.curve.SprintedRemaining(rec.ServiceTime, e.tau)
+	s.eng.Cancel(e.departEv)
+	e.departEv = s.eng.Schedule(now+remaining, s.cbDepart, id)
 	s.replanBudget()
 }
 
@@ -246,7 +296,7 @@ func (s *server) sprintStretch(e *execution) float64 {
 	if sAvg <= 1 {
 		return 1
 	}
-	degrade := 1 + s.cfg.LoadCoeff*float64(len(s.queue))
+	degrade := 1 + s.cfg.LoadCoeff*float64(s.queueLen())
 	if degrade > maxLoadDegradation {
 		degrade = maxLoadDegradation
 	}
@@ -258,66 +308,64 @@ func (s *server) sprintStretch(e *execution) float64 {
 // accountant's current time-to-empty horizon.
 func (s *server) replanBudget() {
 	now := s.eng.Now()
-	if s.budgetEv != nil {
-		s.eng.Cancel(s.budgetEv)
-		s.budgetEv = nil
-	}
+	s.eng.Cancel(s.budgetEv)
+	s.budgetEv = sim.Handle{}
 	tte := s.acct.TimeToEmpty(now)
 	if math.IsInf(tte, 1) {
 		return
 	}
-	s.budgetEv = s.eng.Schedule(now+tte, s.onBudgetEmpty)
+	s.budgetEv = s.eng.Schedule(now+tte, s.cbBudget, 0)
 }
 
 // onBudgetEmpty force-stops every active sprint: remaining work continues
 // at the sustained rate (Figure 1's "sprinting budget is exhausted").
 func (s *server) onBudgetEmpty() {
 	now := s.eng.Now()
-	s.budgetEv = nil
-	for _, e := range s.runningEx {
+	s.budgetEv = sim.Handle{}
+	for _, id := range s.runningEx {
+		e := &s.execs[id]
 		if !e.sprint {
 			continue
 		}
-		e.tau = s.progressAt(e, now)
-		s.stopSprint(e, now)
+		e.tau = s.progressAt(id, now)
+		s.stopSprint(id, now)
 		e.segStart = now
-		remaining := (1 - e.tau) * e.rec.ServiceTime
+		remaining := (1 - e.tau) * s.records[id].ServiceTime
 		e.departEv = s.eng.Reschedule(e.departEv, now+remaining)
 	}
 	s.replanBudget()
 }
 
-// stopSprint ends e's sprint accounting at time now.
-func (s *server) stopSprint(e *execution, now float64) {
+// stopSprint ends query id's sprint accounting at time now.
+func (s *server) stopSprint(id int32, now float64) {
+	e := &s.execs[id]
 	s.acct.StopSprint(now)
-	e.rec.SprintSeconds += now - e.sprintStart
+	s.records[id].SprintSeconds += now - e.sprintStart
 	e.sprint = false
 	e.toggle = 0
 	e.stretch = 1
 }
 
-// depart completes e: close out sprint accounting, free the slot, and
-// dispatch the next queued query.
-func (s *server) depart(e *execution) {
+// depart completes query id: close out sprint accounting, free the slot,
+// and dispatch the next queued query.
+func (s *server) depart(id int32) {
+	e := &s.execs[id]
 	now := s.eng.Now()
-	e.rec.Depart = now
+	s.records[id].Depart = now
 	s.lastDep = now
 	if e.sprint {
-		s.stopSprint(e, now)
+		s.stopSprint(id, now)
 		s.replanBudget()
 	}
-	if e.timeoutEv != nil {
-		s.eng.Cancel(e.timeoutEv)
-		e.timeoutEv = nil
-	}
-	for i, re := range s.runningEx {
-		if re == e {
+	s.eng.Cancel(e.timeoutEv)
+	e.timeoutEv = sim.Handle{}
+	for i, ri := range s.runningEx {
+		if ri == id {
 			s.runningEx = append(s.runningEx[:i], s.runningEx[i+1:]...)
 			break
 		}
 	}
 	e.running = false
-	s.departed++
 	s.freeSlots++
 	s.dispatch()
 }

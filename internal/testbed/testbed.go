@@ -204,10 +204,13 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	c := cfg.withDefaults()
-	s := newServer(c)
+	s := serverPool.Get().(*server)
+	s.reset(cfg.withDefaults())
 	s.run()
-	return s.result(), nil
+	res := s.result()
+	s.release()
+	serverPool.Put(s)
+	return res, nil
 }
 
 // MustRun is Run for callers with static configs; it panics on error.

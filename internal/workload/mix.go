@@ -117,16 +117,20 @@ func (m Mix) SustainedQPH() float64 { return sprint.ToQPH(m.SustainedRate()) }
 func (m Mix) IsSingle() bool { return len(m.Components) == 1 }
 
 // Pick draws a class according to the mix weights.
-func (m Mix) Pick(r *dist.RNG) *Class {
+func (m Mix) Pick(r *dist.RNG) *Class { return m.Components[m.PickIndex(r)].Class }
+
+// PickIndex draws a component index according to the mix weights, from
+// the same single draw Pick makes.
+func (m Mix) PickIndex(r *dist.RNG) int {
 	u := r.Float64()
 	acc := 0.0
-	for _, c := range m.Components {
+	for i, c := range m.Components {
 		acc += c.Weight
 		if u < acc {
-			return c.Class
+			return i
 		}
 	}
-	return m.Components[len(m.Components)-1].Class
+	return len(m.Components) - 1
 }
 
 // ServiceDist returns the service-time distribution of one class inside
