@@ -80,7 +80,6 @@ cover:
 	check ./internal/obs 90; \
 	check ./internal/trace 90; \
 	check ./internal/lint 90; \
-	check ./internal/httpharness 85; \
 	check ./internal/server 80; \
 	check ./internal/tier 90; \
 	check ./internal/queuesim/analytic 95
@@ -105,6 +104,14 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSuppressionParse$$' -fuzztime 10s ./internal/lint
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTierSpec$$' -fuzztime 10s ./internal/tier
 	$(GO) test -run '^$$' -fuzz '^FuzzTierEscalation$$' -fuzztime 10s ./internal/tier
+
+# bench-check runs the benchmark module's tests. cmd/sprintbench is its
+# own Go module, so ./... above skips it; its pinned set-up digests at
+# GOMAXPROCS 1 and 2 are the end-to-end bit-identity check over the
+# pipeline and sprintd packages it imports.
+.PHONY: bench-check
+bench-check:
+	cd cmd/sprintbench && $(GO) test -count=1 ./...
 
 # soak runs the sprintd daemon's end-to-end robustness scenario under
 # the race detector: concurrent tenants through chaos transports, a

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -28,7 +29,12 @@ func TestPipelineTraceAcceptance(t *testing.T) {
 		t.Fatalf("sprintctl pipeline exited %d", code)
 	}
 
-	spans, err := trace.LoadChromeTraceFile(tracePath)
+	traceFile, err := os.Open(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer traceFile.Close()
+	spans, err := trace.LoadChromeTrace(traceFile)
 	if err != nil {
 		t.Fatalf("loading trace: %v", err)
 	}
@@ -120,7 +126,12 @@ func TestPipelineTraceAcceptance(t *testing.T) {
 	}
 
 	// The decision ledger rode along.
-	recs, err := trace.LoadDecisionsFile(decPath)
+	decFile, err := os.Open(decPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer decFile.Close()
+	recs, err := trace.LoadDecisions(decFile)
 	if err != nil {
 		t.Fatalf("loading decisions: %v", err)
 	}

@@ -129,8 +129,8 @@ func loadTenantConfigs(path, names string) ([]server.TenantConfig, error) {
 }
 
 // newServeClient builds the client every serving subcommand shares:
-// retry plan from the httpharness discipline, per-attempt timeouts,
-// retry narration on stderr.
+// jittered-backoff retries, per-attempt timeouts, retry narration on
+// stderr.
 func newServeClient(addr string, retries int) *server.Client {
 	base := addr
 	if !strings.Contains(base, "://") {

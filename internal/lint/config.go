@@ -84,7 +84,6 @@ func DefaultConfig() *Config {
 			"internal/calib",
 			"internal/explore",
 			"internal/colocate",
-			"internal/httpharness",
 			"internal/profiler",
 			"internal/queuesim",
 			"internal/online",

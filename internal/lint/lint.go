@@ -6,7 +6,8 @@
 // assumes repeated evaluations are comparable. The analyzers here enforce
 // the invariants that keep that true — no wall-clock or global-RNG reads
 // in deterministic packages, no bare float equality, no silently dropped
-// errors — plus two hygiene checks (lock copies, exported docs).
+// errors — plus an exported-docs hygiene check. Lock copies are go vet's
+// copylocks check, which the merge gate already runs.
 //
 // The driver is stdlib-only (go/parser, go/ast, go/types): it loads every
 // package in the module, type-checks it, runs each analyzer, and reports
@@ -147,7 +148,6 @@ func Analyzers() []*Analyzer {
 		NonDeterm,
 		FloatEq,
 		ErrDrop,
-		LockCopy,
 		ExportedDoc,
 		CtxLeak,
 		PoolEscape,

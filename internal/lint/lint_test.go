@@ -30,7 +30,6 @@ var fixtureAnalyzers = map[string][]string{
 	"nondeterm":   {"nondeterm"},
 	"floateq":     {"floateq"},
 	"errdrop":     {"errdrop"},
-	"lockcopy":    {"lockcopy-lite"},
 	"exporteddoc": {"exporteddoc"},
 	"ctxleak":     {"ctxleak"},
 	"poolescape":  {"poolescape"},

@@ -14,7 +14,8 @@
 //     lifecycle events from the timeout-aware queue simulator
 //     (internal/queuesim): arrival, service start, sprint start/stop,
 //     timeout fired, budget exhausted, refill, departure. RingTracer is
-//     the bounded in-memory sink; internal/trace adds JSONL export.
+//     the bounded in-memory sink, one mutex-guarded ring keeping the
+//     last N events in arrival order; internal/trace adds JSONL export.
 //
 //   - Logger — a small leveled logger (Debug/Info/Warn/Error) so CLI
 //     progress output composes with shell pipelines (results on stdout,

@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"sort"
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // EventType labels one query-lifecycle event from the queue simulator.
 type EventType string
@@ -51,13 +47,11 @@ const (
 
 // QueryEvent is one per-query lifecycle record emitted by the simulator.
 // Time is virtual (simulated) seconds; Query is the arrival index within
-// the run (-1 for system-wide events); Class names the query class in
-// multi-class simulations.
+// the run (-1 for system-wide events).
 type QueryEvent struct {
 	Type  EventType `json:"type"`
 	Time  float64   `json:"t"`
 	Query int       `json:"query"`
-	Class string    `json:"class,omitempty"`
 	Value float64   `json:"value,omitempty"`
 }
 
@@ -79,103 +73,56 @@ func (f TracerFunc) Event(e QueryEvent) { f(e) }
 
 // RingTracer is a bounded, concurrency-safe event sink: it keeps the last
 // `capacity` events and counts everything it has ever seen.
-//
-// Internally the ring is sharded: a global atomic sequence assigns each
-// event a slot round-robin across independently locked sub-rings, so
-// concurrent recorders contend on capacity/shards-sized locks instead of
-// one. Because the sequence is the global arrival order and each shard
-// retains the newest entries of its residue class, the union of the
-// shards is always exactly the newest `capacity` events, and Events()
-// restores global order by sorting on the sequence.
 type RingTracer struct {
-	seq    atomic.Uint64
-	mask   uint64 // len(shards)-1; the count is always a power of two
-	shards []tracerShard
-}
-
-// tracerShard is one independently locked sub-ring, padded out to a
-// cache line (8B mutex + 24B slice + 2×8B ints + 16B pad = 64) so
-// neighbouring shard locks don't false-share.
-type tracerShard struct {
-	mu   sync.Mutex
-	buf  []seqEvent
-	next int
-	fill int
-	_    [16]byte
-}
-
-// seqEvent tags a recorded event with its global arrival sequence.
-type seqEvent struct {
-	seq uint64
-	e   QueryEvent
+	mu    sync.Mutex
+	buf   []QueryEvent
+	next  int
+	fill  int
+	total uint64
 }
 
 // NewRingTracer returns a tracer retaining the last capacity events
-// (default 4096 when capacity <= 0). The shard count is the largest
-// power of two ≤ 16 dividing capacity, so every shard holds an equal
-// slice of the ring and exact last-N retention is preserved.
+// (default 4096 when capacity <= 0).
 func NewRingTracer(capacity int) *RingTracer {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	shards := 16
-	for capacity%shards != 0 {
-		shards >>= 1
-	}
-	t := &RingTracer{mask: uint64(shards) - 1, shards: make([]tracerShard, shards)}
-	per := capacity / shards
-	for i := range t.shards {
-		t.shards[i].buf = make([]seqEvent, per)
-	}
-	return t
+	return &RingTracer{buf: make([]QueryEvent, capacity)}
 }
 
 // Event records e.
 func (t *RingTracer) Event(e QueryEvent) {
-	seq := t.seq.Add(1) - 1
-	s := &t.shards[seq&t.mask]
-	s.mu.Lock()
-	s.buf[s.next] = seqEvent{seq: seq, e: e}
-	s.next = (s.next + 1) % len(s.buf)
-	if s.fill < len(s.buf) {
-		s.fill++
+	t.mu.Lock()
+	t.buf[t.next] = e
+	t.next = (t.next + 1) % len(t.buf)
+	if t.fill < len(t.buf) {
+		t.fill++
 	}
-	s.mu.Unlock()
+	t.total++
+	t.mu.Unlock()
 }
 
-// Events returns the retained events, oldest first (global arrival
-// order, restored by merging the shards on their sequence tags).
+// Events returns the retained events, oldest first.
 func (t *RingTracer) Events() []QueryEvent {
-	entries := make([]seqEvent, 0, t.capacity())
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		start := s.next - s.fill
-		if start < 0 {
-			start += len(s.buf)
-		}
-		for j := 0; j < s.fill; j++ {
-			entries = append(entries, s.buf[(start+j)%len(s.buf)])
-		}
-		s.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]QueryEvent, 0, t.fill)
+	start := t.next - t.fill
+	if start < 0 {
+		start += len(t.buf)
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].seq < entries[j].seq })
-	out := make([]QueryEvent, len(entries))
-	for i, se := range entries {
-		out[i] = se.e
+	for i := 0; i < t.fill; i++ {
+		out = append(out, t.buf[(start+i)%len(t.buf)])
 	}
 	return out
-}
-
-// capacity is the total retained-event budget across shards.
-func (t *RingTracer) capacity() int {
-	return len(t.shards) * len(t.shards[0].buf)
 }
 
 // Total returns how many events the tracer has seen (including any that
 // the ring has since evicted).
 func (t *RingTracer) Total() uint64 {
-	return t.seq.Load()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.total
 }
 
 // Count returns how many retained events have the given type.

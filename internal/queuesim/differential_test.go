@@ -164,7 +164,7 @@ func requireEventsIdentical(t *testing.T, got, want []obs.QueryEvent) {
 	}
 	for i := range got {
 		g, w := got[i], want[i]
-		if g.Type != w.Type || g.Query != w.Query || g.Class != w.Class ||
+		if g.Type != w.Type || g.Query != w.Query ||
 			math.Float64bits(g.Time) != math.Float64bits(w.Time) ||
 			math.Float64bits(g.Value) != math.Float64bits(w.Value) {
 			t.Fatalf("event %d = %+v, want %+v", i, g, w)
@@ -231,72 +231,6 @@ func TestDifferentialNoTracer(t *testing.T) {
 					t.Fatalf("seed %d: pooled: %v", seed, err)
 				}
 				requireResultsIdentical(t, got, want)
-			}
-		})
-	}
-}
-
-var diffMultiConfigs = []struct {
-	name string
-	p    MultiParams
-}{
-	{
-		name: "two-class-one-sprints",
-		p: MultiParams{
-			ArrivalRate: 9,
-			Classes: []ClassParams{
-				{Name: "latency", Weight: 0.3, Service: dist.NewExponential(12), ServiceRate: 12, SprintRate: 22, Timeout: 0.1},
-				{Name: "batch", Weight: 0.7, Service: dist.NewExponential(8), ServiceRate: 8, Timeout: -1},
-			},
-			BudgetSeconds: 15, RefillTime: 60, NumQueries: 600,
-		},
-	},
-	{
-		name: "three-class-shared-tight-budget",
-		p: MultiParams{
-			ArrivalRate: 20, ArrivalKind: dist.KindPareto,
-			Classes: []ClassParams{
-				{Name: "a", Weight: 0.2, Service: dist.NewExponential(15), ServiceRate: 15, SprintRate: 30, Timeout: 0.04},
-				{Name: "b", Weight: 0.5, Service: dist.NewExponential(10), ServiceRate: 10, SprintRate: 14, Timeout: 0.1},
-				{Name: "c", Weight: 0.3, Service: dist.NewExponential(6), ServiceRate: 6, SprintRate: 5, Timeout: 0.2},
-			},
-			BudgetSeconds: 3, RefillTime: 30, Slots: 2, NumQueries: 600, Warmup: 50,
-		},
-	},
-}
-
-func TestDifferentialMultiClass(t *testing.T) {
-	for _, cfg := range diffMultiConfigs {
-		cfg := cfg
-		t.Run(cfg.name, func(t *testing.T) {
-			for _, seed := range diffSeeds {
-				p := cfg.p
-				p.Seed = seed
-
-				pr := p
-				refTracer, refEvents := captureTracer()
-				pr.Tracer = refTracer
-				want, err := runMultiReference(pr)
-				if err != nil {
-					t.Fatalf("seed %d: reference: %v", seed, err)
-				}
-
-				pp := p
-				gotTracer, gotEvents := captureTracer()
-				pp.Tracer = gotTracer
-				got, err := RunMulti(pp)
-				if err != nil {
-					t.Fatalf("seed %d: pooled: %v", seed, err)
-				}
-
-				requireResultsIdentical(t, &got.Result, &want.Result)
-				requireEventsIdentical(t, *gotEvents, *refEvents)
-				if len(got.ByClass) != len(want.ByClass) {
-					t.Fatalf("ByClass has %d classes, want %d", len(got.ByClass), len(want.ByClass))
-				}
-				for _, c := range p.Classes {
-					requireFloatsBitIdentical(t, "ByClass["+c.Name+"]", got.ByClass[c.Name], want.ByClass[c.Name])
-				}
 			}
 		})
 	}

@@ -318,10 +318,9 @@ type query struct {
 	departEv  sim.Handle
 	timeoutEv sim.Handle
 
-	id    int32
-	class int32
-	srv   int32 // server this query was dispatched to
-	tie   int32 // ready-heap tie-break
+	id  int32
+	srv int32 // server this query was dispatched to
+	tie int32 // ready-heap tie-break
 
 	sprint   bool
 	pending  bool
@@ -373,11 +372,8 @@ func (q *ringQ) grow() {
 	q.buf, q.head = nb, 0
 }
 
-// classCfg is one query class's precomputed configuration. Run uses a
-// single class; RunMulti one per ClassParams.
+// classCfg is the run's precomputed service and sprinting configuration.
 type classCfg struct {
-	name     string
-	weight   float64
 	service  dist.Dist
 	timeout  float64
 	speedup  float64
@@ -433,11 +429,9 @@ type Runner struct {
 	predDist dist.Dist
 	predRNG  dist.RNG
 
-	arr       dist.Dist
-	classes   []classCfg
-	tr        obs.QueryTracer
-	multi     bool
-	drawClass bool
+	arr dist.Dist
+	cls classCfg
+	tr  obs.QueryTracer
 
 	disc     Discipline
 	ordered  bool // heap-ordered ready queue (lifo/srpt/serpt)
@@ -456,8 +450,7 @@ type Runner struct {
 	preempts    int
 	exhausted   bool
 
-	res  *Result
-	mres *MultiResult
+	res *Result
 
 	// Predict's serial path replays into predRes and pools every
 	// replication's response times into pooledRTs; both keep their
@@ -470,7 +463,7 @@ type Runner struct {
 func NewRunner() *Runner { return &Runner{} }
 
 // runnerPool recycles Runners across the package-level entry points (Run,
-// RunReps, Predict, RunMulti), so sweep batches and calibration searches
+// RunReps, Predict), so sweep batches and calibration searches
 // reuse warmed slabs across tasks. Pool reuse only affects buffer
 // capacity, never results: every run fully reinitializes the runner from
 // its Params.
@@ -601,14 +594,12 @@ func (r *Runner) RunInto(p Params, out *Result) error {
 	r.arr = r.arrivalFor(p)
 	r.acct.Reset(p.BudgetSeconds, refillRate(p), p.Refill, p.RefillTime)
 	r.tr = p.Tracer
-	r.multi = false
-	r.drawClass = false
-	r.classes = append(r.classes[:0], classCfg{
+	r.cls = classCfg{
 		service:  p.Service,
 		timeout:  p.Timeout,
 		speedup:  p.speedup(),
 		sprintOn: p.sprintingEnabled(),
-	})
+	}
 	r.configureDiscipline(p.Discipline, p.Servers, p.Slots, p.Dispatch, p.Seed)
 	r.warmup = p.Warmup
 	r.total = total
@@ -623,7 +614,6 @@ func (r *Runner) RunInto(p Params, out *Result) error {
 	out.Preemptions = 0
 	out.MaxLive = 0
 	r.res = out
-	r.mres = nil
 
 	r.eng.Schedule(r.arr.Sample(&r.rng), r.cbArrive, 0)
 	clk := obs.ClockOr(p.Clock)
@@ -709,16 +699,11 @@ func (r *Runner) arrive() {
 	now := r.eng.Now()
 	id := r.arrived
 	r.arrived++
-	ci := int32(0)
-	if r.drawClass {
-		ci = r.pickClass()
-	}
 	qi := r.allocQuery()
 	q := &r.pool[qi]
 	q.id = int32(id)
-	q.class = ci
 	q.arrival = now
-	q.service = r.classes[ci].service.Sample(&r.rng)
+	q.service = r.cls.service.Sample(&r.rng)
 	q.warm = id < r.warmup
 	s := int32(0)
 	if r.dispatch != nil {
@@ -745,8 +730,8 @@ func (r *Runner) arrive() {
 	if r.disc.Kind != DiscPS {
 		r.enqueue(s, qi)
 	}
-	if r.classes[ci].sprintOn {
-		q.timeoutEv = r.eng.Schedule(now+r.classes[ci].timeout, r.cbTimeou, qi)
+	if r.cls.sprintOn {
+		q.timeoutEv = r.eng.Schedule(now+r.cls.timeout, r.cbTimeou, qi)
 	}
 	if r.arrived < r.total {
 		r.eng.After(r.arr.Sample(&r.rng), r.cbArrive, 0)
@@ -891,7 +876,7 @@ func (r *Runner) preemptQuery(qi int32, key float64, now float64) {
 		r.emit(obs.EvPreempt, now, qi, (1-q.tau)*q.service)
 	}
 	q.running = false
-	if q.toFired && r.classes[q.class].sprintOn {
+	if q.toFired && r.cls.sprintOn {
 		q.pending = true
 	}
 	for i, ri := range r.running {
@@ -912,7 +897,7 @@ func (r *Runner) preemptQuery(qi int32, key float64, now float64) {
 func (r *Runner) progress(q *query, now float64) float64 {
 	rate := 1.0
 	if q.sprint {
-		rate = r.classes[q.class].speedup
+		rate = r.cls.speedup
 	}
 	tau := q.tau + (now-q.seg)*rate/q.service
 	return math.Min(tau, 1)
@@ -923,7 +908,7 @@ func (r *Runner) onTimeout(qi int32) {
 	q := &r.pool[qi]
 	q.toFired = true
 	if r.tr != nil {
-		r.emit(obs.EvTimeout, now, qi, r.classes[q.class].timeout)
+		r.emit(obs.EvTimeout, now, qi, r.cls.timeout)
 	}
 	if !q.running {
 		q.pending = true
@@ -953,7 +938,7 @@ func (r *Runner) engage(qi int32) {
 	q.sprint = true
 	q.sprinted = true
 	q.sprintStart = now
-	remaining := (1 - q.tau) * q.service / r.classes[q.class].speedup
+	remaining := (1 - q.tau) * q.service / r.cls.speedup
 	r.eng.Cancel(q.departEv)
 	q.departEv = r.eng.Schedule(now+remaining, r.cbDepart, qi)
 	r.replanBudget()
@@ -1029,13 +1014,8 @@ func (r *Runner) depart(qi int32) {
 	}
 	q.running = false
 	if !q.warm {
-		rt := now - q.arrival
-		r.res.RTs = append(r.res.RTs, rt)
+		r.res.RTs = append(r.res.RTs, now-q.arrival)
 		r.res.QueueingTimes = append(r.res.QueueingTimes, q.start-q.arrival)
-		if r.mres != nil {
-			name := r.classes[q.class].name
-			r.mres.ByClass[name] = append(r.mres.ByClass[name], rt)
-		}
 		if q.sprinted {
 			r.res.SprintedCount++
 		}
@@ -1050,24 +1030,7 @@ func (r *Runner) depart(qi int32) {
 // emit sends one lifecycle event; callers guard on r.tr != nil.
 func (r *Runner) emit(typ obs.EventType, now float64, qi int32, value float64) {
 	q := &r.pool[qi]
-	e := obs.QueryEvent{Type: typ, Time: now, Query: int(q.id), Value: value}
-	if r.multi {
-		e.Class = r.classes[q.class].name
-	}
-	r.tr.Event(e)
-}
-
-// pickClass draws a class index by weight.
-func (r *Runner) pickClass() int32 {
-	u := r.rng.Float64()
-	acc := 0.0
-	for i := range r.classes {
-		acc += r.classes[i].weight
-		if u < acc {
-			return int32(i)
-		}
-	}
-	return int32(len(r.classes) - 1)
+	r.tr.Event(obs.QueryEvent{Type: typ, Time: now, Query: int(q.id), Value: value})
 }
 
 // allocQuery takes a slot from the pool, recycling freed indices before

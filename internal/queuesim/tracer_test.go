@@ -208,46 +208,6 @@ func TestTracerDepartureAccounting(t *testing.T) {
 	}
 }
 
-func TestTracerMultiClass(t *testing.T) {
-	// Multi-class events are tagged with their class name; system-wide
-	// budget events are not attributed to any class.
-	tr := obs.NewRingTracer(1 << 14)
-	_, err := RunMulti(MultiParams{
-		ArrivalRate: 0.02,
-		Classes: []ClassParams{
-			{Name: "A", Weight: 0.5, Service: dist.LogNormalFromMeanCV(40, 0.3),
-				ServiceRate: 0.025, SprintRate: 0.05, Timeout: 20},
-			{Name: "B", Weight: 0.5, Service: dist.LogNormalFromMeanCV(80, 0.3),
-				ServiceRate: 0.0125, SprintRate: 0.02, Timeout: 40},
-		},
-		BudgetSeconds: 100, RefillTime: 400,
-		NumQueries: 300, Seed: 5,
-		Tracer: tr,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.Count(obs.EvDeparture); got != 300 {
-		t.Fatalf("%d departures, want 300", got)
-	}
-	classes := map[string]int{}
-	for _, e := range tr.Events() {
-		if e.Type == obs.EvBudgetExhausted {
-			if e.Class != "" || e.Query != -1 {
-				t.Fatalf("budget event attributed to a query: %+v", e)
-			}
-			continue
-		}
-		if e.Class != "A" && e.Class != "B" {
-			t.Fatalf("event without class tag: %+v", e)
-		}
-		classes[e.Class]++
-	}
-	if classes["A"] == 0 || classes["B"] == 0 {
-		t.Fatalf("class mix %v: both classes should appear", classes)
-	}
-}
-
 func TestRunFlushesSimMetrics(t *testing.T) {
 	// Each run flushes its totals into the default registry once.
 	runs := obs.Default().Counter("mdsprint_sim_runs_total", "")

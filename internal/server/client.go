@@ -10,12 +10,10 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"mdsprint/internal/httpharness"
 )
 
-// Client is the robust sprintd client: per-attempt timeouts and the
-// harness's shared jittered-backoff retry plan, honoring the daemon's
+// Client is the robust sprintd client: per-attempt timeouts and a
+// jittered-backoff retry plan (retryPlan), honoring the daemon's
 // Retry-After hints. Shed responses (429/503) and transport errors
 // retry; other client errors are terminal.
 type Client struct {
@@ -44,7 +42,7 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-func (c *Client) plan() httpharness.RetryPlan {
+func (c *Client) plan() retryPlan {
 	retries, backoff := c.MaxRetries, c.Backoff
 	if retries == 0 {
 		retries = 3
@@ -55,8 +53,8 @@ func (c *Client) plan() httpharness.RetryPlan {
 	if backoff <= 0 {
 		backoff = 50 * time.Millisecond
 	}
-	return httpharness.RetryPlan{
-		MaxRetries: retries, Backoff: backoff, Seed: c.Seed, OnRetry: c.OnRetry,
+	return retryPlan{
+		maxRetries: retries, backoff: backoff, seed: c.Seed, onRetry: c.OnRetry,
 	}
 }
 
@@ -76,19 +74,19 @@ func (c *Client) post(ctx context.Context, path string, in, out any) error {
 		return fmt.Errorf("server: encoding %s request: %w", path, err)
 	}
 	url := strings.TrimSuffix(c.BaseURL, "/") + path
-	return c.plan().Do(ctx, func(int) httpharness.Outcome {
+	return c.plan().do(ctx, func(int) outcome {
 		actx, cancel := context.WithTimeout(ctx, c.attemptTimeout())
 		defer cancel()
 		req, err := http.NewRequestWithContext(actx, http.MethodPost, url, bytes.NewReader(body))
 		if err != nil {
-			return httpharness.Outcome{Err: err}
+			return outcome{err: err}
 		}
 		req.Header.Set("Content-Type", "application/json")
 		resp, err := c.httpClient().Do(req)
 		if err != nil {
 			// Transport-level failure (drop, timeout): worth retrying
 			// unless the caller's own ctx is what expired.
-			return httpharness.Outcome{Err: err, Retryable: ctx.Err() == nil}
+			return outcome{err: err, retryable: ctx.Err() == nil}
 		}
 		defer func() {
 			//lint:ignore errdrop response body close after a full read
@@ -97,12 +95,12 @@ func (c *Client) post(ctx context.Context, path string, in, out any) error {
 		switch {
 		case resp.StatusCode >= 200 && resp.StatusCode < 300:
 			if out == nil {
-				return httpharness.Outcome{}
+				return outcome{}
 			}
 			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-				return httpharness.Outcome{Err: fmt.Errorf("server: decoding %s response: %w", path, err)}
+				return outcome{err: fmt.Errorf("server: decoding %s response: %w", path, err)}
 			}
-			return httpharness.Outcome{}
+			return outcome{}
 		case resp.StatusCode == http.StatusTooManyRequests ||
 			resp.StatusCode == http.StatusServiceUnavailable ||
 			resp.StatusCode >= 500:
@@ -110,16 +108,16 @@ func (c *Client) post(ctx context.Context, path string, in, out any) error {
 			// backoff at the server's Retry-After hint.
 			//lint:ignore errdrop the body is error detail only; a truncated read still yields a usable message
 			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-			return httpharness.Outcome{
-				Err:       fmt.Errorf("server: %s: %s: %s", path, resp.Status, strings.TrimSpace(string(msg))),
-				Retryable: true,
-				MinDelay:  retryAfter(resp),
+			return outcome{
+				err:       fmt.Errorf("server: %s: %s: %s", path, resp.Status, strings.TrimSpace(string(msg))),
+				retryable: true,
+				minDelay:  retryAfter(resp),
 			}
 		default:
 			//lint:ignore errdrop the body is error detail only; a truncated read still yields a usable message
 			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-			return httpharness.Outcome{
-				Err: fmt.Errorf("server: %s: %s: %s", path, resp.Status, strings.TrimSpace(string(msg))),
+			return outcome{
+				err: fmt.Errorf("server: %s: %s: %s", path, resp.Status, strings.TrimSpace(string(msg))),
 			}
 		}
 	})
@@ -164,33 +162,33 @@ func (c *Client) Reload(ctx context.Context, cfgs []TenantConfig) error {
 func (c *Client) Tenants(ctx context.Context) ([]TenantStatus, error) {
 	url := strings.TrimSuffix(c.BaseURL, "/") + "/v1/tenants"
 	var out []TenantStatus
-	err := c.plan().Do(ctx, func(int) httpharness.Outcome {
+	err := c.plan().do(ctx, func(int) outcome {
 		actx, cancel := context.WithTimeout(ctx, c.attemptTimeout())
 		defer cancel()
 		req, err := http.NewRequestWithContext(actx, http.MethodGet, url, nil)
 		if err != nil {
-			return httpharness.Outcome{Err: err}
+			return outcome{err: err}
 		}
 		resp, err := c.httpClient().Do(req)
 		if err != nil {
-			return httpharness.Outcome{Err: err, Retryable: ctx.Err() == nil}
+			return outcome{err: err, retryable: ctx.Err() == nil}
 		}
 		defer func() {
 			//lint:ignore errdrop response body close after a full read
 			_ = resp.Body.Close()
 		}()
 		if resp.StatusCode != http.StatusOK {
-			return httpharness.Outcome{
-				Err:       fmt.Errorf("server: /v1/tenants: %s", resp.Status),
-				Retryable: resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests,
-				MinDelay:  retryAfter(resp),
+			return outcome{
+				err:       fmt.Errorf("server: /v1/tenants: %s", resp.Status),
+				retryable: resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests,
+				minDelay:  retryAfter(resp),
 			}
 		}
 		out = out[:0]
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			return httpharness.Outcome{Err: fmt.Errorf("server: decoding /v1/tenants: %w", err)}
+			return outcome{err: fmt.Errorf("server: decoding /v1/tenants: %w", err)}
 		}
-		return httpharness.Outcome{}
+		return outcome{}
 	})
 	return out, err
 }

@@ -353,7 +353,8 @@ func (s *Server) Health() obs.Health {
 
 // DecideRequest asks for one policy decision. The arrival-rate
 // estimate is the client's (sprintd trusts callers to estimate their
-// own load; the chaos harness exercises hostile values).
+// own load; the chaos harness exercises hostile values), but it must be
+// positive: a missing or non-positive rate is answered 400.
 type DecideRequest struct {
 	Tenant string  `json:"tenant"`
 	Rate   float64 `json:"rate"`
@@ -369,7 +370,8 @@ type DecideResponse struct {
 }
 
 // ObserveRequest feeds back one observed mean response time measured
-// under the tenant's last decision.
+// under the tenant's last decision. Rate and Observed must be positive;
+// anything else is answered 400.
 type ObserveRequest struct {
 	Tenant   string  `json:"tenant"`
 	Rate     float64 `json:"rate"`
@@ -482,6 +484,10 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
+	if req.Rate <= 0 {
+		http.Error(w, fmt.Sprintf("server: rate %v must be positive", req.Rate), http.StatusBadRequest)
+		return
+	}
 	t, ok := s.lookup(req.Tenant)
 	if !ok {
 		http.Error(w, fmt.Sprintf("server: no tenant %q", req.Tenant), http.StatusNotFound)
@@ -510,6 +516,14 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	var req ObserveRequest
 	if !decodeJSON(w, r, &req) {
+		return
+	}
+	// A bad observation is a client bug, not evidence against the model:
+	// the watchdog would score it as a model failure and could demote a
+	// healthy tenant, so it never reaches the worker.
+	if req.Rate <= 0 || req.Observed <= 0 {
+		http.Error(w, fmt.Sprintf("server: rate %v and observed_rt %v must be positive", req.Rate, req.Observed),
+			http.StatusBadRequest)
 		return
 	}
 	t, ok := s.lookup(req.Tenant)

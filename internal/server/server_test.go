@@ -425,3 +425,97 @@ func TestMetricsEndpointScopes(t *testing.T) {
 		t.Fatalf("unknown tenant metrics: %d, want 404", code)
 	}
 }
+
+// postStatus POSTs body to url and returns the response status.
+func postStatus(t *testing.T, url, body string) int {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestBadObservationsNeverDemote pins the trust boundary on /v1/observe:
+// a non-positive (or missing) rate or observed_rt is a client bug,
+// answered 400 before it reaches the tenant worker, so the watchdog
+// never scores it as a model failure.
+func TestBadObservationsNeverDemote(t *testing.T) {
+	s := newTestServer(t, Options{Tenants: testTenants("alpha")})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	c := &Client{BaseURL: srv.URL}
+	// A decision first, so the tenant has a timeout to judge observations
+	// against: from here on an accepted bad observation would count.
+	if _, err := c.Decide(context.Background(), "alpha", 0.6); err != nil {
+		t.Fatalf("Decide: %v", err)
+	}
+	bad := []string{
+		`{"tenant":"alpha","rate":0.6}`,
+		`{"tenant":"alpha","rate":0.6,"observed_rt":0}`,
+		`{"tenant":"alpha","rate":0.6,"observed_rt":-3}`,
+		`{"tenant":"alpha","observed_rt":2}`,
+		`{"tenant":"alpha","rate":-0.5,"observed_rt":2}`,
+	}
+	for i := 0; i < 100; i++ {
+		body := bad[i%len(bad)]
+		if code := postStatus(t, srv.URL+"/v1/observe", body); code != http.StatusBadRequest {
+			t.Fatalf("bad observe %d %s: status %d, want 400", i, body, code)
+		}
+	}
+	tn, _ := s.lookup("alpha")
+	if v := tn.m.observes.Value(); v != 0 {
+		t.Fatalf("%v bad observations reached the worker, want 0", v)
+	}
+	snap, err := tn.Snapshot(context.Background())
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	if snap.Demotions != 0 {
+		t.Fatalf("%d demotions after bad observations, want 0", snap.Demotions)
+	}
+	res, err := c.Decide(context.Background(), "alpha", 0.6)
+	if err != nil {
+		t.Fatalf("Decide: %v", err)
+	}
+	if res.Tier != "hybrid" || res.Level != 0 {
+		t.Fatalf("decision %+v after bad observations, want the hybrid tier", res)
+	}
+}
+
+// TestBadDecideRejectedBeforeLedger: a decide with a non-positive or
+// missing rate is answered 400 and leaves the decision ledger untouched;
+// the next good decide is ledger record 1.
+func TestBadDecideRejectedBeforeLedger(t *testing.T) {
+	s := newTestServer(t, Options{Tenants: testTenants("alpha")})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	for _, body := range []string{
+		`{"tenant":"alpha"}`,
+		`{"tenant":"alpha","rate":0}`,
+		`{"tenant":"alpha","rate":-1}`,
+	} {
+		if code := postStatus(t, srv.URL+"/v1/decide", body); code != http.StatusBadRequest {
+			t.Fatalf("bad decide %s: status %d, want 400", body, code)
+		}
+	}
+	tn, _ := s.lookup("alpha")
+	seq := func() int {
+		t.Helper()
+		snap, err := tn.Snapshot(context.Background())
+		if err != nil {
+			t.Fatalf("Snapshot: %v", err)
+		}
+		return snap.Ledger.Seq
+	}
+	if got := seq(); got != 0 {
+		t.Fatalf("ledger seq %d after bad decides, want 0", got)
+	}
+	if code := postStatus(t, srv.URL+"/v1/decide", `{"tenant":"alpha","rate":0.6}`); code != http.StatusOK {
+		t.Fatalf("good decide: status %d, want 200", code)
+	}
+	if got := seq(); got != 1 {
+		t.Fatalf("ledger seq %d after one good decide, want 1", got)
+	}
+}

@@ -6,11 +6,6 @@ import (
 	"mdsprint/internal/dist"
 )
 
-// empiricalParams is a calibration-shaped evaluation point: the service
-// distribution resamples 1500 measured processing times, so its canonical
-// encoding is ~12 KiB.
-func empiricalParams() (p0 interface{ }) { return nil }
-
 func TestFingerprintZeroAllocs(t *testing.T) {
 	r := dist.NewRNG(9)
 	samples := make([]float64, 1500)

@@ -5,64 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 
 	"mdsprint/internal/obs"
 )
 
-// This file exports pipeline spans (obs.SpanData) two ways: raw JSONL for
-// grep/jq pipelines, and the Chrome trace-event format that
-// chrome://tracing and Perfetto render as a flame view of the
-// calibrate → sweep → explore → online decision tree.
-
-// SaveSpans writes spans to path as JSONL, one span per line.
-func SaveSpans(path string, spans []obs.SpanData) error {
-	w, err := CreateEventLog(path)
-	if err != nil {
-		return err
-	}
-	for _, s := range spans {
-		w.line(s)
-	}
-	return w.Close()
-}
-
-// line appends v as one JSON line (shared by span and decision sinks).
-func (w *EventWriter) line(v any) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return
-	}
-	data, err := json.Marshal(v)
-	if err == nil {
-		_, err = w.bw.Write(append(data, '\n'))
-	}
-	if err != nil {
-		w.err = err
-	}
-}
-
-// LoadSpans reads a JSONL span log written by SaveSpans.
-func LoadSpans(path string) ([]obs.SpanData, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	defer f.Close()
-	var spans []obs.SpanData
-	dec := json.NewDecoder(bufio.NewReader(f))
-	for {
-		var s obs.SpanData
-		if err := dec.Decode(&s); err == io.EOF {
-			return spans, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("trace: parse %s: %w", path, err)
-		}
-		spans = append(spans, s)
-	}
-}
+// This file exports pipeline spans (obs.SpanData) in the Chrome
+// trace-event format that chrome://tracing and Perfetto render as a flame
+// view of the calibrate → sweep → explore → online decision tree.
 
 // chromeEvent is one trace-event ("X" = complete event). ts/dur are
 // microsecond floats per the format; Args carries the exact nanosecond
@@ -160,14 +110,4 @@ func LoadChromeTrace(r io.Reader) ([]obs.SpanData, error) {
 		})
 	}
 	return spans, nil
-}
-
-// LoadChromeTraceFile reads a trace file written by SaveChromeTrace.
-func LoadChromeTraceFile(path string) ([]obs.SpanData, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	defer f.Close()
-	return LoadChromeTrace(f)
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"mdsprint/internal/online"
 )
@@ -22,6 +21,22 @@ func SaveDecisions(path string, recs []online.DecisionRecord) error {
 	return w.Close()
 }
 
+// line appends v as one JSON line.
+func (w *EventWriter) line(v any) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err != nil {
+		return
+	}
+	data, err := json.Marshal(v)
+	if err == nil {
+		_, err = w.bw.Write(append(data, '\n'))
+	}
+	if err != nil {
+		w.err = err
+	}
+}
+
 // LoadDecisions reads a JSONL decision log back into records.
 func LoadDecisions(r io.Reader) ([]online.DecisionRecord, error) {
 	dec := json.NewDecoder(r)
@@ -36,17 +51,4 @@ func LoadDecisions(r io.Reader) ([]online.DecisionRecord, error) {
 		}
 		out = append(out, rec)
 	}
-}
-
-// LoadDecisionsFile is LoadDecisions over a file path.
-func LoadDecisionsFile(path string) ([]online.DecisionRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		//lint:ignore errdrop read-only close after a full decode
-		_ = f.Close()
-	}()
-	return LoadDecisions(f)
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -32,9 +33,14 @@ func TestSaveLoadDecisions(t *testing.T) {
 	if err := SaveDecisions(path, want); err != nil {
 		t.Fatalf("SaveDecisions: %v", err)
 	}
-	got, err := LoadDecisionsFile(path)
+	f, err := os.Open(path)
 	if err != nil {
-		t.Fatalf("LoadDecisionsFile: %v", err)
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := LoadDecisions(f)
+	if err != nil {
+		t.Fatalf("LoadDecisions: %v", err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)

@@ -33,9 +33,6 @@ func TestSaveSinksRejectUnusablePaths(t *testing.T) {
 	if err := SaveEvents(p, []obs.QueryEvent{{Type: "arrival"}}); err == nil {
 		t.Error("SaveEvents accepted a path under a regular file")
 	}
-	if err := SaveSpans(p, []obs.SpanData{{ID: 1, Name: "x"}}); err == nil {
-		t.Error("SaveSpans accepted a path under a regular file")
-	}
 	if err := SaveChromeTrace(p, nil); err == nil {
 		t.Error("SaveChromeTrace accepted a path under a regular file")
 	}
@@ -52,25 +49,6 @@ func TestLoadersRejectMissingFiles(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "nope.jsonl")
 	if _, err := LoadEvents(missing); err == nil {
 		t.Error("LoadEvents read a missing file")
-	}
-	if _, err := LoadSpans(missing); err == nil {
-		t.Error("LoadSpans read a missing file")
-	}
-	if _, err := LoadChromeTraceFile(missing); err == nil {
-		t.Error("LoadChromeTraceFile read a missing file")
-	}
-	if _, err := LoadDecisionsFile(missing); err == nil {
-		t.Error("LoadDecisionsFile read a missing file")
-	}
-}
-
-func TestLoadSpansRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "spans.jsonl")
-	if err := os.WriteFile(path, []byte("{\"id\":1}\nnot json\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadSpans(path); err == nil {
-		t.Error("LoadSpans decoded garbage")
 	}
 }
 

@@ -16,7 +16,7 @@ func TestSaveLoadEventsRoundTrip(t *testing.T) {
 	events := []obs.QueryEvent{
 		{Type: obs.EvArrival, Time: 1.5, Query: 0, Value: 10},
 		{Type: obs.EvBudgetExhausted, Time: 2.25, Query: -1, Value: 3},
-		{Type: obs.EvDeparture, Time: 4, Query: 0, Class: "A", Value: 2.5},
+		{Type: obs.EvDeparture, Time: 4, Query: 0, Value: 2.5},
 	}
 	if err := SaveEvents(path, events); err != nil {
 		t.Fatal(err)

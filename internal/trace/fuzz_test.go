@@ -14,7 +14,7 @@ import (
 func FuzzLoadEvents(f *testing.F) {
 	valid := []obs.QueryEvent{
 		{Type: obs.EvArrival, Time: 0.5, Query: 0, Value: 1.25},
-		{Type: obs.EvServiceStart, Time: 0.5, Query: 0, Class: "MixI"},
+		{Type: obs.EvServiceStart, Time: 0.5, Query: 0},
 		{Type: obs.EvSprintStart, Time: 1.0, Query: 0, Value: 0.4},
 		{Type: obs.EvDeparture, Time: 2.5, Query: 0, Value: 2.0},
 	}

@@ -1,6 +1,7 @@
-// Package trace persists profiling datasets and calibration records as
-// JSON so profiling (hours of simulated replay) and model training can be
-// separated across tool invocations — the workflow of cmd/sprintctl.
+// Package trace persists profiling datasets as JSON so profiling (hours
+// of simulated replay) and model training can be separated across tool
+// invocations — the workflow of cmd/sprintctl. It also writes query event
+// logs, decision ledgers and Chrome traces.
 package trace
 
 import (
@@ -9,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"mdsprint/internal/calib"
 	"mdsprint/internal/profiler"
 )
 
@@ -28,20 +28,6 @@ func LoadDataset(path string) (*profiler.Dataset, error) {
 		return nil, fmt.Errorf("trace: %s is not a valid dataset", path)
 	}
 	return &ds, nil
-}
-
-// SaveRecords writes calibration records to path.
-func SaveRecords(path string, recs []calib.Record) error {
-	return writeJSON(path, recs)
-}
-
-// LoadRecords reads calibration records written by SaveRecords.
-func LoadRecords(path string) ([]calib.Record, error) {
-	var recs []calib.Record
-	if err := readJSON(path, &recs); err != nil {
-		return nil, err
-	}
-	return recs, nil
 }
 
 func writeJSON(path string, v any) error {

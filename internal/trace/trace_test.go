@@ -4,7 +4,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"mdsprint/internal/calib"
 	"mdsprint/internal/dist"
 	"mdsprint/internal/profiler"
 )
@@ -67,18 +66,13 @@ func TestLoadDatasetRejectsGarbage(t *testing.T) {
 	if _, err := LoadDataset(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing file accepted")
 	}
-}
-
-func TestLoadRecordsErrors(t *testing.T) {
-	if _, err := LoadRecords(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("missing records file accepted")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := writeJSON(bad, "not a record list"); err != nil {
+	// A JSON value of the wrong shape fails at parse, before validation.
+	malformed := filepath.Join(t.TempDir(), "malformed.json")
+	if err := writeJSON(malformed, "not a dataset"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadRecords(bad); err == nil {
-		t.Fatal("malformed records accepted")
+	if _, err := LoadDataset(malformed); err == nil {
+		t.Fatal("malformed dataset accepted")
 	}
 }
 
@@ -95,25 +89,5 @@ func TestWriteJSONErrors(t *testing.T) {
 	}
 	if err := writeJSON(filepath.Join(blocker, "sub", "x.json"), 1); err == nil {
 		t.Fatal("mkdir under a file succeeded")
-	}
-}
-
-func TestRecordsRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "recs.json")
-	recs := []calib.Record{
-		{
-			ArrivalRate: 0.01, ServiceRate: 0.0141, MarginalRate: 0.0205,
-			EffectiveRate: 0.0190, ObservedRT: 130, SimRT: 131,
-		},
-	}
-	if err := SaveRecords(path, recs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadRecords(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].EffectiveRate != 0.0190 {
-		t.Fatalf("records lost: %+v", got)
 	}
 }
