@@ -155,21 +155,24 @@ bench-tier:
 	$(GO) test -run '^$$' -bench 'Decide' -benchmem -count 3 ./internal/tier/
 	MDSPRINT_BENCH_TIER=1 $(GO) test -count=1 -run 'TestTierSpeedupBudget' ./internal/tier/
 
-# bench-sim measures the pooled simulator hot path against the retired
-# heap-and-closure reference engine (Run, RunReps) plus the calibration
+# bench-sim measures the pooled event engine at queuesim's depths
+# (PooledEngine), the simulator hot path against the retired
+# heap-and-closure reference engine (Run, RunReps) and the calibration
 # probe that drives it (SimulateRT). Baseline in BENCH_sim.json; the
 # pooled RunReps must stay >=2x faster than the reference.
 .PHONY: bench-sim
 bench-sim:
+	$(GO) test -run '^$$' -bench 'BenchmarkPooledEngine' -benchmem ./internal/sim/
 	$(GO) test -run '^$$' -bench 'BenchmarkSim(Run|RunInto|RunReference|RunReps|RunRepsReference|RunRepsSRPT)$$' -benchmem ./internal/queuesim/
 	$(GO) test -run '^$$' -bench 'SimulateRT' -benchmem ./internal/calib/
 
 # bench-sweep measures the policy-sweep engine: serial vs sharded
-# throughput and the memoized path (baseline recorded in
-# BENCH_sweep.json; sharded gains need >1 CPU).
+# throughput, the memoized path and the memo key over an Empirical
+# service (baseline recorded in BENCH_sweep.json; sharded gains need >1
+# CPU).
 .PHONY: bench-sweep
 bench-sweep:
-	$(GO) test -run '^$$' -bench 'Sweep(Serial|Sharded|Cached)' -benchmem ./internal/sweep/
+	$(GO) test -run '^$$' -bench 'Sweep(Serial|Sharded|Cached)|Fingerprint' -benchmem ./internal/sweep/
 
 # bench-serve measures the sprintd serving path: the in-process
 # decision/observation hot path (which must stay at 0 allocs/op — see

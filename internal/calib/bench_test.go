@@ -9,19 +9,22 @@ import (
 	"mdsprint/internal/workload"
 )
 
-// TestServiceDistCached pins the per-dataset memoization: repeated
-// simulator evaluations against one dataset must share a single boxed
-// Empirical instead of re-copying the sample vector per evaluation.
+// TestServiceDistCached pins the per-dataset memoization calibration
+// relies on: repeated simulator evaluations against one dataset must
+// share a single Empirical instead of re-copying the sample vector per
+// evaluation, and distinct datasets must not share one.
 func TestServiceDistCached(t *testing.T) {
 	conds := []profiler.Condition{
 		{Utilization: 0.6, ArrivalKind: dist.KindExponential, Timeout: 60, RefillTime: 200, BudgetPct: 0.4},
 	}
 	ds := jacobiDataset(t, conds)
-	if serviceDist(ds) != serviceDist(ds) {
-		t.Fatal("serviceDist rebuilt the Empirical for the same dataset")
+	o := Options{NumQueries: 100, Seed: 7}
+	a := simParams(ds, ds.Observations[0], ds.MarginalRate, o).Service
+	if b := simParams(ds, ds.Observations[0], 2*ds.MarginalRate, o).Service; a != b {
+		t.Fatal("simParams rebuilt the Empirical for the same dataset")
 	}
 	other := jacobiDataset(t, conds)
-	if serviceDist(ds) == serviceDist(other) {
+	if a == simParams(other, other.Observations[0], other.MarginalRate, o).Service {
 		t.Fatal("distinct datasets share a cached distribution")
 	}
 }

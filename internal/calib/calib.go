@@ -23,7 +23,6 @@ import (
 	"runtime"
 	"sync"
 
-	"mdsprint/internal/dist"
 	"mdsprint/internal/fault"
 	"mdsprint/internal/obs"
 	"mdsprint/internal/profiler"
@@ -154,38 +153,13 @@ func conditionMarginal(ds *profiler.Dataset, cond profiler.Condition) float64 {
 	return mum
 }
 
-// serviceDistCache memoizes one boxed Empirical distribution per dataset.
-// A calibration run evaluates the simulator hundreds of times against the
-// same dataset, and dist.NewEmpirical copies the sample vector on every
-// call — a per-evaluation allocation the bisection loop does not need.
-// Datasets are immutable after profiling and a process holds only a
-// handful, so keying by pointer and never evicting is safe. The cache is
-// semantically neutral for sweep memoization too: sweep fingerprints
-// Empirical distributions by content, not identity.
-var (
-	serviceDistMu    sync.Mutex
-	serviceDistCache = map[*profiler.Dataset]*dist.Empirical{}
-)
-
-// serviceDist returns ds's service-time distribution, cached.
-func serviceDist(ds *profiler.Dataset) *dist.Empirical {
-	serviceDistMu.Lock()
-	defer serviceDistMu.Unlock()
-	if d, ok := serviceDistCache[ds]; ok {
-		return d
-	}
-	d := dist.NewEmpirical(ds.ServiceSamples)
-	serviceDistCache[ds] = d
-	return d
-}
-
 // simParams builds the queue-simulator parameters for one observation at
 // the given sprint rate.
 func simParams(ds *profiler.Dataset, obs profiler.Observation, rate float64, o Options) queuesim.Params {
 	return queuesim.Params{
 		ArrivalRate:   obs.ArrivalRate,
 		ArrivalKind:   obs.Cond.ArrivalKind,
-		Service:       serviceDist(ds),
+		Service:       ds.ServiceDist(),
 		ServiceRate:   ds.ServiceRate,
 		SprintRate:    rate,
 		Timeout:       obs.Cond.Timeout,

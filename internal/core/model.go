@@ -166,7 +166,7 @@ func simTask(ds *profiler.Dataset, sc Scenario, rate float64, queries, reps int,
 		Params: queuesim.Params{
 			ArrivalRate:   sc.arrivalRate(ds),
 			ArrivalKind:   sc.Cond.ArrivalKind,
-			Service:       dist.NewEmpirical(ds.ServiceSamples),
+			Service:       ds.ServiceDist(),
 			ServiceRate:   ds.ServiceRate,
 			SprintRate:    rate,
 			Timeout:       sc.Cond.Timeout,

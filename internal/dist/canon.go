@@ -12,7 +12,8 @@ import (
 // parameter change must change the bytes. Each encoding starts with a
 // distinct type tag, and every numeric parameter is written as its exact
 // IEEE-754 bit pattern, so no formatting or rounding can alias two
-// different distributions.
+// different distributions — except that Empirical samples are written as
+// their 128-bit content digest, computed once by NewEmpirical.
 
 // canon type tags. The numeric values are part of the fingerprint format:
 // never reorder or reuse them, only append.
@@ -25,10 +26,11 @@ const (
 	canonLogNormal
 	canonErlang
 	canonHyperexponential
-	canonEmpirical
+	canonEmpirical // raw samples; retired, superseded by canonEmpiricalDigest
 	canonMixture
 	canonSequence
 	canonScaled
+	canonEmpiricalDigest
 )
 
 // appendFloat appends v's IEEE-754 bit pattern, little-endian.
@@ -73,11 +75,8 @@ func AppendCanon(b []byte, d Dist) ([]byte, error) {
 		}
 		return b, nil
 	case *Empirical:
-		b = appendLen(append(b, canonEmpirical), len(v.values))
-		for _, s := range v.values {
-			b = appendFloat(b, s)
-		}
-		return b, nil
+		b = appendLen(append(b, canonEmpiricalDigest), len(v.values))
+		return append(b, v.digest[:]...), nil
 	case Mixture:
 		b = appendLen(append(b, canonMixture), len(v.Weights))
 		for _, w := range v.Weights {

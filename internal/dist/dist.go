@@ -1,9 +1,9 @@
 package dist
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Dist is a one-dimensional probability distribution over non-negative
@@ -273,6 +273,9 @@ func HyperexponentialFromMeanCV(mean, cv float64) Hyperexponential {
 type Empirical struct {
 	values []float64
 	mean   float64
+	// digest is the first 128 bits of the SHA-256 of values' bit
+	// patterns in order: the canonical encoding's stand-in for values.
+	digest [16]byte
 }
 
 // NewEmpirical copies values into an empirical distribution. It panics on an
@@ -284,10 +287,13 @@ func NewEmpirical(values []float64) *Empirical {
 	cp := make([]float64, len(values))
 	copy(cp, values)
 	sum := 0.0
+	bits := make([]byte, 0, 8*len(cp))
 	for _, v := range cp {
 		sum += v
+		bits = appendFloat(bits, v)
 	}
-	return &Empirical{values: cp, mean: sum / float64(len(cp))}
+	digest := sha256.Sum256(bits)
+	return &Empirical{values: cp, mean: sum / float64(len(cp)), digest: [16]byte(digest[:16])}
 }
 
 func (d *Empirical) Sample(r *RNG) float64 { return d.values[r.Intn(len(d.values))] }
@@ -296,26 +302,6 @@ func (d *Empirical) String() string        { return fmt.Sprintf("Empirical(n=%d)
 
 // Len returns the number of underlying observations.
 func (d *Empirical) Len() int { return len(d.values) }
-
-// Quantile returns the q-th quantile (0 <= q <= 1) of the underlying sample.
-func (d *Empirical) Quantile(q float64) float64 {
-	sorted := make([]float64, len(d.values))
-	copy(sorted, d.values)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[len(sorted)-1]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
 
 // Mixture draws from component i with probability Weights[i]. It models
 // query mixes where each class has its own service-time distribution.

@@ -182,18 +182,6 @@ func TestEmpiricalCopiesInput(t *testing.T) {
 	}
 }
 
-func TestEmpiricalQuantile(t *testing.T) {
-	d := NewEmpirical([]float64{5, 1, 3, 2, 4})
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5},
-	}
-	for _, c := range cases {
-		if got := d.Quantile(c.q); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-}
-
 func TestMixtureMean(t *testing.T) {
 	d := NewMixture(
 		[]float64{0.4, 0.6},

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -79,11 +80,16 @@ func Fig11(lab *Lab) Fig11Result {
 					Reps:   lab.Scale.SimReps,
 				}
 			}
-			start := time.Now()
-			if _, err := eng.EvaluateAll(tasks); err != nil {
-				panic(err)
+			// Keep the fastest of three timings: other processes on a
+			// shared host easily stretch a window this short.
+			elapsed := math.Inf(1)
+			for range 3 {
+				start := time.Now()
+				if _, err := eng.EvaluateAll(tasks); err != nil {
+					panic(err)
+				}
+				elapsed = math.Min(elapsed, time.Since(start).Minutes())
 			}
-			elapsed := time.Since(start).Minutes()
 			// CoV across extra independent predictions (cheap
 			// single-rep runs) to see the variance knee.
 			covTasks := make([]sweep.Task, 12)

@@ -103,7 +103,7 @@ func simParams(c Context, timeout, budgetPct, sprintRate float64) queuesim.Param
 	return queuesim.Params{
 		ArrivalRate:   c.ArrivalRate,
 		ArrivalKind:   c.ArrivalKind,
-		Service:       dist.NewEmpirical(c.Dataset.ServiceSamples),
+		Service:       c.Dataset.ServiceDist(),
 		ServiceRate:   c.Dataset.ServiceRate,
 		SprintRate:    sprintRate,
 		Timeout:       timeout,

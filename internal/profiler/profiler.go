@@ -97,17 +97,33 @@ type Dataset struct {
 	// MarginalRate is mu_m in queries/second.
 	MarginalRate float64 `json:"marginal_rate"`
 	// ServiceSamples are measured non-sprinted processing times,
-	// resampled by the queue simulator.
+	// resampled by the queue simulator through ServiceDist. They must
+	// not be mutated after ServiceDist is first called: the
+	// distribution is built from them once.
 	ServiceSamples []float64 `json:"service_samples"`
 	// Observations hold per-condition response-time measurements.
 	Observations []Observation `json:"observations"`
 	// ProfilingSeconds is the simulated wall-clock spent profiling;
 	// Section 4.4's cost analysis charges this against revenue.
 	ProfilingSeconds float64 `json:"profiling_seconds"`
+
+	svcOnce sync.Once
+	svc     *dist.Empirical // ServiceDist, once built
 }
 
 // MarginalSpeedup returns mu_m / mu, the measured whole-execution speedup.
 func (d *Dataset) MarginalSpeedup() float64 { return d.MarginalRate / d.ServiceRate }
+
+// ServiceDist returns the empirical distribution over ServiceSamples, or
+// nil when there are none. It is built on first use and shared by every
+// later caller, concurrent ones included.
+func (d *Dataset) ServiceDist() *dist.Empirical {
+	if len(d.ServiceSamples) == 0 {
+		return nil
+	}
+	d.svcOnce.Do(func() { d.svc = dist.NewEmpirical(d.ServiceSamples) })
+	return d.svc
+}
 
 // Profiler drives testbed runs for one mix/mechanism pair.
 type Profiler struct {
@@ -258,12 +274,13 @@ func (p *Profiler) RunCondition(cond Condition, seed uint64) (Observation, float
 	}
 	// The mean sums in replication order before selection reorders rts.
 	mean := stats.Mean(rts)
+	p95, p99 := stats.SelectQuantilePair(rts, 0.95, 0.99)
 	return Observation{
 		Cond:         cond,
 		ArrivalRate:  cond.Utilization * pp.sustainedRate(),
 		MeanRT:       mean,
-		P95RT:        stats.SelectQuantile(rts, 0.95),
-		P99RT:        stats.SelectQuantile(rts, 0.99),
+		P95RT:        p95,
+		P99RT:        p99,
 		SprintedFrac: float64(sprinted) / float64(total),
 	}, dur
 }

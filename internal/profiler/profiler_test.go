@@ -230,3 +230,32 @@ func TestConditionPolicy(t *testing.T) {
 		t.Fatalf("sentinel speedup %v too small", got)
 	}
 }
+
+// TestDatasetServiceDist: the service distribution is nil without
+// samples, built once from them, and the same value for every caller,
+// concurrent first callers included.
+func TestDatasetServiceDist(t *testing.T) {
+	if d := (&Dataset{}).ServiceDist(); d != nil {
+		t.Fatalf("empty dataset: ServiceDist %v, want nil", d)
+	}
+	ds := &Dataset{ServiceSamples: []float64{3, 1, 2}}
+	got := make([]*dist.Empirical, 8)
+	done := make(chan int)
+	for i := range got {
+		go func(i int) {
+			got[i] = ds.ServiceDist()
+			done <- i
+		}(i)
+	}
+	for range got {
+		<-done
+	}
+	for i, d := range got {
+		if d == nil || d != got[0] || d != ds.ServiceDist() {
+			t.Fatalf("caller %d got %p, want the shared %p", i, d, got[0])
+		}
+	}
+	if d := got[0]; d.Len() != 3 || d.Mean() != 2 {
+		t.Fatalf("distribution over %d samples with mean %v, want 3 and 2", d.Len(), d.Mean())
+	}
+}

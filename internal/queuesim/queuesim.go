@@ -381,7 +381,7 @@ type classCfg struct {
 }
 
 // Runner is a reusable simulator instance. Every internal buffer — the
-// event slab and index heap (sim.PooledEngine), the query pool, the FIFO
+// event slab and heap (sim.PooledEngine), the query pool, the FIFO
 // ring, the running set, the RNG and the budget accountant — persists
 // across runs, so replaying simulations back to back performs zero
 // steady-state heap allocations per simulated query. A Runner is not safe
@@ -811,10 +811,9 @@ func (r *Runner) dispatchSrv(s int32) {
 				r.emit(obs.EvResume, now, qi, (1-q.tau)*q.service)
 			}
 		}
+		q.departEv = r.eng.Schedule(now+(1-q.tau)*q.service, r.cbDepart, qi)
 		if q.pending && r.acct.CanSprint(now) {
 			r.engage(qi)
-		} else {
-			q.departEv = r.eng.Schedule(now+(1-q.tau)*q.service, r.cbDepart, qi)
 		}
 	}
 }
@@ -921,7 +920,8 @@ func (r *Runner) onTimeout(qi int32) {
 	}
 }
 
-// engage applies Equation 1: the remaining execution shrinks by mu/mu_e.
+// engage applies Equation 1: the remaining execution shrinks by mu/mu_e,
+// and the query's pending departure is re-keyed in place.
 func (r *Runner) engage(qi int32) {
 	now := r.eng.Now()
 	r.engages++
@@ -939,25 +939,22 @@ func (r *Runner) engage(qi int32) {
 	q.sprinted = true
 	q.sprintStart = now
 	remaining := (1 - q.tau) * q.service / r.cls.speedup
-	r.eng.Cancel(q.departEv)
-	q.departEv = r.eng.Schedule(now+remaining, r.cbDepart, qi)
+	q.departEv = r.eng.Reschedule(q.departEv, now+remaining)
 	r.replanBudget()
 }
 
 func (r *Runner) replanBudget() {
 	now := r.eng.Now()
-	r.eng.Cancel(r.budgetEv)
-	r.budgetEv = sim.Handle{}
-	tte := r.acct.TimeToEmpty(now)
-	if math.IsInf(tte, 1) {
-		return
+	if tte := r.acct.TimeToEmpty(now); math.IsInf(tte, 1) {
+		r.eng.Cancel(r.budgetEv)
+		r.budgetEv = sim.Handle{}
+	} else if r.budgetEv = r.eng.Reschedule(r.budgetEv, now+tte); r.budgetEv == (sim.Handle{}) {
+		r.budgetEv = r.eng.Schedule(now+tte, r.cbBudget, 0)
 	}
-	r.budgetEv = r.eng.Schedule(now+tte, r.cbBudget, 0)
 }
 
 func (r *Runner) onBudgetEmpty() {
 	now := r.eng.Now()
-	r.budgetEv = sim.Handle{}
 	r.exhaustions++
 	r.exhausted = true
 	if r.tr != nil {
@@ -1162,10 +1159,11 @@ func predictParallel(p Params, reps, workers int) (Prediction, error) {
 // stats.Summarize reports for the same pool, bit for bit.
 func pooledPrediction(pooled []float64, reps int) Prediction {
 	mean := stats.Mean(pooled)
+	p95, p99 := stats.SelectQuantilePair(pooled, 0.95, 0.99)
 	return Prediction{
 		MeanRT:           mean,
-		P95RT:            stats.SelectQuantile(pooled, 0.95),
-		P99RT:            stats.SelectQuantile(pooled, 0.99),
+		P95RT:            p95,
+		P99RT:            p99,
 		Replications:     reps,
 		QueriesSimulated: len(pooled),
 	}

@@ -9,9 +9,10 @@ import "fmt"
 // PooledEngine replaces both allocations with a slab: events live in a
 // reusable slot pool addressed by generation-checked Handles, callbacks are
 // registered once per consumer and invoked by CallbackID with an int32
-// argument (typically a pooled-object index), and the priority queue is an
-// index heap over the slab. Steady-state scheduling, cancelling and firing
-// perform zero heap allocations.
+// argument (typically a pooled-object index), and the priority queue is a
+// binary heap of inline (time, seq) keys over slot indices, sifted by
+// moving a hole; Reschedule re-keys a live event in place. Steady-state
+// scheduling, cancelling and firing perform zero heap allocations.
 //
 // Semantics match Engine exactly: events fire in (time, seq) order with
 // seq assigned at Schedule time, so FIFO ties break identically; cancelled
@@ -24,25 +25,37 @@ import "fmt"
 type CallbackID int32
 
 // Handle identifies a scheduled event. Handles are generation-checked:
-// once the event fires or is cancelled, its slot is recycled and the old
-// handle goes stale — Cancel and Reschedule on a stale handle are safe
-// no-ops, never a corruption of the slot's next tenant. The zero Handle is
-// always stale. Handles must not be retained across Reset.
+// once the event fires, is cancelled or is rescheduled, the old handle
+// goes stale — Cancel and Reschedule on a stale handle are safe no-ops,
+// never a corruption of the slot's next tenant. The zero Handle is always
+// stale. Handles must not be retained across Reset.
 type Handle struct {
 	idx int32
 	gen uint32
 }
 
-// slot is one pooled event. Slots are recycled through a free list; gen
-// increments on every release so stale Handles can be detected. heapIdx is
-// the slot's position in the index heap, -1 while free.
+// slot is one pooled event's payload; its (time, seq) key lives in its
+// heap entry. Slots are recycled through a free list; gen increments on
+// every release and every Reschedule so stale Handles can be detected.
+// heapIdx is the slot's position in the heap, -1 while free.
 type slot struct {
-	time    float64
-	seq     uint64
 	gen     uint32
 	heapIdx int32
 	cb      CallbackID
 	arg     int32
+}
+
+// entry is one heap element: an event's key and its slot.
+type entry struct {
+	time float64
+	seq  uint64
+	idx  int32
+}
+
+// less orders entries by (time, seq). Seqs are unique, so this is a
+// strict total order and every heap shape fires events identically.
+func (a entry) less(b entry) bool {
+	return a.time < b.time || (!(b.time < a.time) && a.seq < b.seq)
 }
 
 // PooledEngine is a discrete-event simulator core with pooled events and
@@ -55,11 +68,8 @@ type PooledEngine struct {
 	seq   uint64
 	slots []slot
 	free  []int32 // recycled slot indices
-	heap  []int32 // slot indices ordered by (time, seq)
+	heap  []entry // pending events ordered by (time, seq)
 	cbs   []func(arg int32)
-
-	live      int // scheduled, unfired, uncancelled events
-	highWater int // max live over the engine's lifetime since Reset
 }
 
 // NewPooled returns a pooled engine with the clock at zero.
@@ -83,11 +93,12 @@ func (e *PooledEngine) Register(fn func(arg int32)) CallbackID {
 func (e *PooledEngine) Now() float64 { return e.now }
 
 // Pending returns the number of scheduled (unfired, uncancelled) events.
-func (e *PooledEngine) Pending() int { return e.live }
+func (e *PooledEngine) Pending() int { return len(e.heap) }
 
 // HighWater returns the maximum number of simultaneously pending events
-// since the last Reset — the slab's high-water mark.
-func (e *PooledEngine) HighWater() int { return e.highWater }
+// since the last Reset — the slab's size, since a slot is only ever
+// added when every existing one is pending.
+func (e *PooledEngine) HighWater() int { return len(e.slots) }
 
 // Reset rewinds the clock to zero and empties the event set while keeping
 // the slab, heap and free-list capacity (and all registered callbacks), so
@@ -99,17 +110,20 @@ func (e *PooledEngine) Reset() {
 	e.slots = e.slots[:0]
 	e.free = e.free[:0]
 	e.heap = e.heap[:0]
-	e.live = 0
-	e.highWater = 0
+}
+
+// checkTime rejects times before Now, which would corrupt causality.
+func (e *PooledEngine) checkTime(at float64) {
+	if at < e.now {
+		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
+	}
 }
 
 // Schedule registers callback cb to run with arg at time at. Scheduling in
 // the past (before Now) panics: it would silently corrupt causality.
 // Events at the identical time fire in scheduling order.
 func (e *PooledEngine) Schedule(at float64, cb CallbackID, arg int32) Handle {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
-	}
+	e.checkTime(at)
 	if cb < 0 || int(cb) >= len(e.cbs) {
 		panic(fmt.Sprintf("sim: unregistered callback %d", cb))
 	}
@@ -118,17 +132,14 @@ func (e *PooledEngine) Schedule(at float64, cb CallbackID, arg int32) Handle {
 		idx = e.free[n-1]
 		e.free = e.free[:n-1]
 		s := &e.slots[idx]
-		s.time, s.seq, s.cb, s.arg = at, e.seq, cb, arg
+		s.cb, s.arg = cb, arg
 	} else {
-		e.slots = append(e.slots, slot{time: at, seq: e.seq, gen: 1, cb: cb, arg: arg})
+		e.slots = append(e.slots, slot{gen: 1, cb: cb, arg: arg})
 		idx = int32(len(e.slots) - 1)
 	}
+	e.heap = append(e.heap, entry{})
+	e.siftUp(len(e.heap)-1, entry{at, e.seq, idx})
 	e.seq++
-	e.heapPush(idx)
-	e.live++
-	if e.live > e.highWater {
-		e.highWater = e.live
-	}
 	return Handle{idx: idx, gen: e.slots[idx].gen}
 }
 
@@ -138,7 +149,8 @@ func (e *PooledEngine) After(delay float64, cb CallbackID, arg int32) Handle {
 }
 
 // lookup resolves h to its slot index if h is current, or -1 when h is
-// stale (zero, already fired, cancelled, or from before a Reset).
+// stale (zero, already fired, cancelled, rescheduled, or from before a
+// Reset).
 func (e *PooledEngine) lookup(h Handle) int32 {
 	if h.gen == 0 || int(h.idx) >= len(e.slots) {
 		return -1
@@ -158,23 +170,28 @@ func (e *PooledEngine) Cancel(h Handle) bool {
 	if idx < 0 {
 		return false
 	}
-	e.heapRemove(e.slots[idx].heapIdx)
+	e.heapRemove(int(e.slots[idx].heapIdx))
 	e.freeSlot(idx)
 	return true
 }
 
-// Reschedule cancels h and schedules a fresh event with the same callback
-// and argument at time at, returning the new handle. A stale h is a no-op
-// returning the zero Handle — it must never resurrect a recycled slot.
+// Reschedule moves the live event h to time at with the same callback and
+// argument, returning its new handle; h goes stale. The event takes a
+// fresh seq exactly as Schedule would, so it fires as Cancel followed by
+// Schedule would make it fire, but it keeps its slot and is re-keyed in
+// place. A stale h is a no-op returning the zero Handle — it must never
+// resurrect a recycled slot.
 func (e *PooledEngine) Reschedule(h Handle, at float64) Handle {
 	idx := e.lookup(h)
 	if idx < 0 {
 		return Handle{}
 	}
-	cb, arg := e.slots[idx].cb, e.slots[idx].arg
-	e.heapRemove(e.slots[idx].heapIdx)
-	e.freeSlot(idx)
-	return e.Schedule(at, cb, arg)
+	e.checkTime(at)
+	s := &e.slots[idx]
+	s.gen++
+	e.fix(int(s.heapIdx), entry{at, e.seq, idx})
+	e.seq++
+	return Handle{idx: idx, gen: s.gen}
 }
 
 // freeSlot releases idx back to the pool, bumping its generation so
@@ -184,7 +201,6 @@ func (e *PooledEngine) freeSlot(idx int32) {
 	s.gen++
 	s.heapIdx = -1
 	e.free = append(e.free, idx)
-	e.live--
 }
 
 // Step fires the next event. It reports false when no events remain. The
@@ -197,13 +213,11 @@ func (e *PooledEngine) Step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
-	idx := e.heap[0]
-	s := &e.slots[idx]
-	t, cb, arg := s.time, s.cb, s.arg
+	top, s := e.heap[0], e.slots[e.heap[0].idx]
 	e.heapRemove(0)
-	e.freeSlot(idx)
-	e.now = t
-	e.cbs[cb](arg)
+	e.freeSlot(top.idx)
+	e.now = top.time
+	e.cbs[s.cb](s.arg)
 	return true
 }
 
@@ -216,7 +230,7 @@ func (e *PooledEngine) Run(limit float64) int {
 		if len(e.heap) == 0 {
 			return fired
 		}
-		if e.slots[e.heap[0]].time > limit {
+		if e.heap[0].time > limit {
 			e.now = limit
 			return fired
 		}
@@ -236,68 +250,59 @@ func (e *PooledEngine) RunAll() int {
 	return fired
 }
 
-// less orders slot indices by (time, seq).
-func (e *PooledEngine) less(a, b int32) bool {
-	sa, sb := &e.slots[a], &e.slots[b]
-	//lint:ignore floateq heap comparator must order exact event times; an epsilon here would corrupt FIFO tie-breaking
-	if sa.time != sb.time {
-		return sa.time < sb.time
-	}
-	return sa.seq < sb.seq
-}
-
-// heapPush appends idx and restores the heap invariant.
-func (e *PooledEngine) heapPush(idx int32) {
-	e.heap = append(e.heap, idx)
-	i := len(e.heap) - 1
-	e.slots[idx].heapIdx = int32(i)
-	e.siftUp(i)
-}
-
-// heapRemove unlinks the element at heap position i.
-func (e *PooledEngine) heapRemove(hi int32) {
-	i, n := int(hi), len(e.heap)-1
-	if i != n {
-		e.swap(i, n)
-	}
+// heapRemove unlinks the entry at heap position i.
+func (e *PooledEngine) heapRemove(i int) {
+	n := len(e.heap) - 1
+	last := e.heap[n]
 	e.heap = e.heap[:n]
 	if i != n {
-		e.siftDown(i)
-		e.siftUp(i)
+		e.fix(i, last)
 	}
 }
 
-func (e *PooledEngine) swap(i, j int) {
-	e.heap[i], e.heap[j] = e.heap[j], e.heap[i]
-	e.slots[e.heap[i]].heapIdx = int32(i)
-	e.slots[e.heap[j]].heapIdx = int32(j)
+// fix fills the hole at heap position i with ent, sifting it whichever
+// way its key requires.
+func (e *PooledEngine) fix(i int, ent entry) {
+	if i > 0 && ent.less(e.heap[(i-1)/2]) {
+		e.siftUp(i, ent)
+	} else {
+		e.siftDown(i, ent)
+	}
 }
 
-func (e *PooledEngine) siftUp(i int) {
+// place stores ent at heap position i and records the back-pointer.
+func (e *PooledEngine) place(i int, ent entry) {
+	e.heap[i] = ent
+	e.slots[ent.idx].heapIdx = int32(i)
+}
+
+// siftUp moves the hole at i rootward past every parent ordering after
+// ent, then fills it with ent.
+func (e *PooledEngine) siftUp(i int, ent entry) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !e.less(e.heap[i], e.heap[parent]) {
-			return
+		if !ent.less(e.heap[parent]) {
+			break
 		}
-		e.swap(i, parent)
+		e.place(i, e.heap[parent])
 		i = parent
 	}
+	e.place(i, ent)
 }
 
-func (e *PooledEngine) siftDown(i int) {
+// siftDown moves the hole at i leafward past every smaller child
+// ordering before ent, then fills it with ent.
+func (e *PooledEngine) siftDown(i int, ent entry) {
 	n := len(e.heap)
-	for {
-		smallest := i
-		if l := 2*i + 1; l < n && e.less(e.heap[l], e.heap[smallest]) {
-			smallest = l
+	for child := 2*i + 1; child < n; child = 2*i + 1 {
+		if r := child + 1; r < n && e.heap[r].less(e.heap[child]) {
+			child = r
 		}
-		if r := 2*i + 2; r < n && e.less(e.heap[r], e.heap[smallest]) {
-			smallest = r
+		if !e.heap[child].less(ent) {
+			break
 		}
-		if smallest == i {
-			return
-		}
-		e.swap(i, smallest)
-		i = smallest
+		e.place(i, e.heap[child])
+		i = child
 	}
+	e.place(i, ent)
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -392,6 +393,171 @@ func TestPooledMatchesEngineRandomized(t *testing.T) {
 	}
 }
 
+// oracle is the reference model for the PooledEngine's contract: a
+// slice of pending events kept sorted by (time, seq), with seq assigned
+// by Schedule and Reschedule alike. Each event carries a fixed label (the
+// callback argument) and a version that Reschedule bumps, so the oracle
+// knows which handle to an event is current.
+type oracle struct {
+	seq     uint64
+	pending []oracleEvent
+	version map[int32]int
+}
+
+type oracleEvent struct {
+	at    float64
+	seq   uint64
+	label int32
+}
+
+func (o *oracle) insert(at float64, label int32) {
+	ev := oracleEvent{at, o.seq, label}
+	o.seq++
+	i := sort.Search(len(o.pending), func(i int) bool {
+		p := o.pending[i]
+		return ev.at < p.at || (ev.at <= p.at && ev.seq < p.seq)
+	})
+	o.pending = append(o.pending, oracleEvent{})
+	copy(o.pending[i+1:], o.pending[i:])
+	o.pending[i] = ev
+}
+
+// remove unlinks label's pending event.
+func (o *oracle) remove(label int32) {
+	for i, ev := range o.pending {
+		if ev.label == label {
+			o.pending = append(o.pending[:i], o.pending[i+1:]...)
+			return
+		}
+	}
+}
+
+// live reports whether the handle at version ver of label is current.
+func (o *oracle) live(label int32, ver int) bool {
+	if o.version[label] != ver {
+		return false
+	}
+	for _, ev := range o.pending {
+		if ev.label == label {
+			return true
+		}
+	}
+	return false
+}
+
+// TestPooledMatchesSortedOracle drives the PooledEngine and the sorted-
+// slice oracle through one randomized script and requires identical
+// firing sequences and identical handle staleness. Event times snap to a
+// coarse grid so exact-time ties, which only seq can order, are common,
+// and most operations run inside callbacks while the engine is firing —
+// the way queuesim and the testbed schedule, cancel and re-key
+// departures and budget interrupts. Several rounds share one engine
+// across Reset so recycled slots are exercised too.
+func TestPooledMatchesSortedOracle(t *testing.T) {
+	type handle struct {
+		h     Handle
+		label int32
+		ver   int
+	}
+	f := func(seed uint64) bool {
+		rng := dist.NewRNG(seed)
+		eng := NewPooled()
+		ok := true
+		fail := func(format string, args ...any) {
+			if ok {
+				t.Logf("seed %#x: "+format, append([]any{seed}, args...)...)
+			}
+			ok = false
+		}
+		var (
+			o       oracle
+			hs      []handle
+			label   int32
+			ops     int
+			cb      CallbackID
+			opBurst func()
+		)
+		at := func() float64 { return eng.Now() + float64(rng.Intn(6))*0.5 }
+		schedule := func() {
+			when := at()
+			hs = append(hs, handle{eng.Schedule(when, cb, label), label, 0})
+			o.version[label] = 0
+			o.insert(when, label)
+			label++
+		}
+		opBurst = func() {
+			for n := rng.Intn(4); n > 0 && ops < 400; n-- {
+				ops++
+				switch {
+				case rng.Intn(3) == 0 || len(hs) == 0:
+					schedule()
+				case rng.Intn(2) == 0:
+					c := hs[rng.Intn(len(hs))]
+					want := o.live(c.label, c.ver)
+					if got := eng.Cancel(c.h); got != want {
+						fail("cancel of label %d v%d returned %v, oracle %v", c.label, c.ver, got, want)
+					}
+					if want {
+						o.remove(c.label)
+					}
+				default:
+					c := hs[rng.Intn(len(hs))]
+					want := o.live(c.label, c.ver)
+					when := at()
+					nh := eng.Reschedule(c.h, when)
+					if (nh != Handle{}) != want {
+						fail("reschedule of label %d v%d returned %v, oracle live %v", c.label, c.ver, nh, want)
+					}
+					if want {
+						o.remove(c.label)
+						o.version[c.label] = c.ver + 1
+						o.insert(when, c.label)
+						hs = append(hs, handle{nh, c.label, c.ver + 1})
+					}
+				}
+				if eng.Pending() != len(o.pending) {
+					fail("pending %d, oracle %d", eng.Pending(), len(o.pending))
+				}
+			}
+		}
+		cb = eng.Register(func(arg int32) {
+			if len(o.pending) == 0 {
+				fail("label %d fired at %v, oracle empty", arg, eng.Now())
+				return
+			}
+			want := o.pending[0]
+			o.pending = o.pending[1:]
+			if want.label != arg || want.at != eng.Now() {
+				fail("fired label %d at %v, oracle label %d at %v", arg, eng.Now(), want.label, want.at)
+			}
+			opBurst()
+		})
+		for round := 0; round < 3; round++ {
+			eng.Reset()
+			o = oracle{version: map[int32]int{}}
+			hs, label, ops = hs[:0], 0, 0
+			for i := 0; i < 1+rng.Intn(12); i++ {
+				schedule()
+			}
+			opBurst()
+			eng.RunAll()
+			if len(o.pending) != 0 || eng.Pending() != 0 {
+				fail("round %d drained with %d oracle / %d engine pending", round, len(o.pending), eng.Pending())
+			}
+			// Every handle is stale once the engine has drained.
+			for _, c := range hs {
+				if eng.Cancel(c.h) || eng.Reschedule(c.h, eng.Now()) != (Handle{}) {
+					fail("label %d v%d handle live after drain", c.label, c.ver)
+				}
+			}
+		}
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPooledZeroAllocsSteadyState pins the engine-level allocation
 // budget: once the slab has grown to its working size, a
 // schedule/cancel/reschedule/fire cycle allocates nothing.
@@ -419,5 +585,42 @@ func TestPooledZeroAllocsSteadyState(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, cycle)
 	if allocs != 0 {
 		t.Fatalf("steady-state engine cycle allocated %.1f objects, want 0", allocs)
+	}
+}
+
+// BenchmarkPooledEngine times the PooledEngine at the depths queuesim
+// runs it (2-16 pending events). Each iteration fires the earliest event
+// and schedules its replacement, re-keys another event in place, and
+// cancels and replaces a third, so the pending set stays at the depth.
+func BenchmarkPooledEngine(b *testing.B) {
+	for _, depth := range []int{2, 4, 16} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			eng := NewPooled()
+			var fired int32
+			cb := eng.Register(func(arg int32) { fired = arg })
+			r := dist.NewRNG(1)
+			delays := make([]float64, 1024)
+			for i := range delays {
+				delays[i] = r.ExpFloat64()
+			}
+			hs := make([]Handle, depth)
+			for i := range hs {
+				hs[i] = eng.After(delays[i], cb, int32(i))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.Step()
+				hs[fired] = eng.After(delays[i&1023], cb, fired)
+				j := (int(fired) + 1) % depth
+				hs[j] = eng.Reschedule(hs[j], eng.Now()+delays[(i+3)&1023])
+				k := (int(fired) + depth - 1) % depth
+				eng.Cancel(hs[k])
+				hs[k] = eng.After(delays[(i+7)&1023], cb, int32(k))
+			}
+			if eng.Pending() != depth {
+				b.Fatalf("pending %d, want %d", eng.Pending(), depth)
+			}
+		})
 	}
 }

@@ -115,3 +115,78 @@ func TestSelectQuantileLargeSamples(t *testing.T) {
 		checkTails(t, "large", xs, r.Float64())
 	}
 }
+
+// TestSelectQuantilePairMatchesSelectQuantile: both results of the pair
+// equal SelectQuantile over an untouched copy, bit for bit, across
+// lengths 1-5000, heavy duplicates, signed zeros, NaNs, q == p and
+// q = 1. (Mixing -0 with +0 at the selected order statistics is outside
+// the bit-for-bit contract, as for SelectQuantile itself, so each signed-
+// zero sample holds zeros of one sign only.)
+func TestSelectQuantilePairMatchesSelectQuantile(t *testing.T) {
+	r := dist.NewRNG(11)
+	ln := dist.LogNormalFromMeanCV(100, 1.5)
+	gens := map[string]func(i int) float64{
+		"continuous": func(int) float64 { return ln.Sample(r) },
+		"duplicates": func(int) float64 { return float64(r.Intn(4)) },
+		"negative zeros": func(int) float64 {
+			if r.Intn(3) == 0 {
+				return -float64(r.Intn(50))
+			}
+			return math.Copysign(0, -1)
+		},
+		"positive zeros": func(int) float64 {
+			if r.Intn(3) == 0 {
+				return float64(r.Intn(50))
+			}
+			return 0
+		},
+		"NaNs": func(int) float64 {
+			if r.Intn(10) == 0 {
+				return math.NaN()
+			}
+			return ln.Sample(r)
+		},
+		"all NaN": func(int) float64 { return math.NaN() },
+	}
+	pairs := [][2]float64{{0.95, 0.99}, {0.95, 0.95}, {0.5, 0.5}, {0.95, 1}, {1, 1}, {0, 1}, {0, 0}, {0.25, 0.75}}
+	var lengths []int
+	for n := 1; n <= 64; n++ {
+		lengths = append(lengths, n)
+	}
+	for n := 65; n <= 5000; n = n*5/4 + 1 {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 5000)
+	for name, gen := range gens {
+		for _, n := range lengths {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = gen(i)
+			}
+			for _, pq := range pairs {
+				work := append([]float64(nil), xs...)
+				gotP, gotQ := SelectQuantilePair(work, pq[0], pq[1])
+				if wantP := selected(xs, pq[0]); !sameBits(gotP, wantP) {
+					t.Errorf("%s n=%d p=%v: %v (%#x), SelectQuantile %v (%#x)", name, n, pq[0], gotP, math.Float64bits(gotP), wantP, math.Float64bits(wantP))
+				}
+				if wantQ := selected(xs, pq[1]); !sameBits(gotQ, wantQ) {
+					t.Errorf("%s n=%d p=%v q=%v: %v (%#x), SelectQuantile %v (%#x)", name, n, pq[0], pq[1], gotQ, math.Float64bits(gotQ), wantQ, math.Float64bits(wantQ))
+				}
+			}
+		}
+	}
+	// Out-of-contract arguments fall back to independent selection.
+	xs := make([]float64, 200)
+	for i := range xs {
+		xs[i] = ln.Sample(r)
+	}
+	if p, q := SelectQuantilePair(append([]float64(nil), xs...), 0.9, 0.1); !sameBits(p, selected(xs, 0.9)) || !sameBits(q, selected(xs, 0.1)) {
+		t.Errorf("p > q: got %v, %v", p, q)
+	}
+	if p, q := SelectQuantilePair(nil, 0.95, 0.99); !math.IsNaN(p) || !math.IsNaN(q) {
+		t.Errorf("empty input: got %v, %v, want NaN", p, q)
+	}
+	if _, q := SelectQuantilePair(append([]float64(nil), xs...), 0.5, 1.5); !math.IsNaN(q) {
+		t.Errorf("q outside [0, 1]: got %v, want NaN", q)
+	}
+}

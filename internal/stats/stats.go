@@ -133,18 +133,41 @@ func interpolate(a, b, frac float64) float64 { return a*(1-frac) + b*frac }
 // identical whenever values that compare equal are bitwise equal — that
 // is, unless xs mixes -0 with +0 or holds NaNs with different payloads.
 func SelectQuantile(xs []float64, q float64) float64 {
-	n := len(xs)
-	if n == 0 || q < 0 || q > 1 {
+	if len(xs) == 0 || q < 0 || q > 1 {
 		return math.NaN()
 	}
+	return selectAbove(xs, 0, q)
+}
+
+// SelectQuantilePair returns SelectQuantile(xs, p) and
+// SelectQuantile(xs, q) for p <= q in one pass: selecting the p-th order
+// statistic leaves every larger one above it, so the q-th is selected
+// within that upper partition alone (P99 after P95 searches the top 5%
+// of xs). Otherwise the two are selected independently. Like
+// SelectQuantile it reorders xs in place and allocates nothing.
+func SelectQuantilePair(xs []float64, p, q float64) (float64, float64) {
+	qp := SelectQuantile(xs, p)
+	if n := len(xs); n > 1 && p >= 0 && p <= q && q <= 1 {
+		if base, _ := quantilePos(n, p); base < n-1 {
+			return qp, selectAbove(xs, base, q)
+		}
+	}
+	return qp, SelectQuantile(xs, q)
+}
+
+// selectAbove is SelectQuantile for a non-empty xs whose first from
+// elements are known to order no later than the rest, so only xs[from:]
+// is searched.
+func selectAbove(xs []float64, from int, q float64) float64 {
+	n := len(xs)
 	if n == 1 {
 		return xs[0]
 	}
 	lo, frac := quantilePos(n, q)
 	if lo >= n-1 {
-		return orderMax(xs)
+		return orderMax(xs[from:])
 	}
-	selectKth(xs, lo)
+	selectKth(xs[from:], lo-from)
 	return interpolate(xs[lo], orderMin(xs[lo+1:]), frac)
 }
 

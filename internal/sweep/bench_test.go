@@ -3,6 +3,7 @@ package sweep
 import (
 	"testing"
 
+	"mdsprint/internal/dist"
 	"mdsprint/internal/obs"
 )
 
@@ -53,4 +54,24 @@ func BenchmarkSweepCached(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(e.Stats().HitRate(), "hit-rate")
+}
+
+// BenchmarkFingerprint keys one evaluation point whose service is an
+// Empirical over 1,500 samples, the size of a profiled dataset's service
+// vector — the memo-key cost every calibration, sweep and prediction pays
+// before the cache can answer.
+func BenchmarkFingerprint(b *testing.B) {
+	r := dist.NewRNG(9)
+	samples := make([]float64, 1500)
+	for i := range samples {
+		samples[i] = 50 + 100*r.Float64()
+	}
+	p := baseParams()
+	p.Service = dist.NewEmpirical(samples)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Fingerprint(p, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -15,7 +15,8 @@ import (
 // Key is a 128-bit fingerprint of one (Params, Reps) evaluation point.
 // Keys are derived from a canonical byte encoding of every field that
 // influences the simulation's output, so two tasks with equal keys are
-// guaranteed (up to FNV-128 collisions) to produce bit-identical
+// guaranteed (up to FNV-128 collisions, and for Empirical services
+// collisions of their 128-bit content digest) to produce bit-identical
 // predictions, and any semantic change to a task changes its key.
 type Key [16]byte
 
@@ -40,9 +41,9 @@ func appendString(b []byte, s string) []byte {
 }
 
 // keyScratch is Fingerprint's reusable encoding state: the canonical
-// byte buffer, which grows once to the largest encoding seen (an
-// Empirical service resampling 1500 measured times encodes to ~12 KiB),
-// the hasher, and the digest it writes.
+// byte buffer, which grows once to the largest encoding seen (a few
+// hundred bytes, as Empirical samples encode as a digest), the hasher,
+// and the digest it writes.
 type keyScratch struct {
 	buf []byte
 	h   hash.Hash
@@ -77,9 +78,9 @@ func Fingerprint(p queuesim.Params, reps int) (Key, error) {
 	}
 	ks := keyScratchPool.Get().(*keyScratch)
 	defer keyScratchPool.Put(ks)
-	// v2 added the discipline, server count and dispatcher fields; the
-	// version bump retires every v1 key rather than risking a stale hit.
-	b := appendString(ks.buf[:0], "mdsprint/sweep/v2")
+	// v2 added the discipline, server count and dispatcher fields, v3
+	// the Empirical content digest; each bump retires every older key.
+	b := appendString(ks.buf[:0], "mdsprint/sweep/v3")
 	b = appendFloat(b, c.ArrivalRate)
 	var err error
 	if c.Arrival == nil {

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"math"
 	"testing"
 
 	"mdsprint/internal/dist"
@@ -78,6 +79,33 @@ func TestFingerprintCanonicalEquality(t *testing.T) {
 	// Reps <= 0 canonicalizes to 1.
 	if mustKey(t, base, 0) != mustKey(t, base, 1) {
 		t.Error("reps 0 and 1 should share a key")
+	}
+}
+
+// TestFingerprintEmpiricalByContent: an Empirical service is keyed by
+// the content of its samples, not by the slice it was built from, and a
+// one-ULP change to a single sample is a different service.
+func TestFingerprintEmpiricalByContent(t *testing.T) {
+	r := dist.NewRNG(3)
+	samples := make([]float64, 1500)
+	for i := range samples {
+		samples[i] = 50 + 100*r.Float64()
+	}
+	withService := func(xs []float64) queuesim.Params {
+		p := baseParams()
+		p.Service = dist.NewEmpirical(xs)
+		return p
+	}
+	want := mustKey(t, withService(samples), 2)
+	if got := mustKey(t, withService(append([]float64(nil), samples...)), 2); got != want {
+		t.Errorf("equal samples from a different slice: key %v, want %v", got, want)
+	}
+	for _, i := range []int{0, 777, len(samples) - 1} {
+		bumped := append([]float64(nil), samples...)
+		bumped[i] = math.Nextafter(bumped[i], math.Inf(1))
+		if got := mustKey(t, withService(bumped), 2); got == want {
+			t.Errorf("sample %d moved one ULP: key unchanged (%v)", i, got)
+		}
 	}
 }
 

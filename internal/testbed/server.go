@@ -221,10 +221,9 @@ func (s *server) dispatch() {
 		e.tau = 0
 		e.segStart = now
 		s.runningEx = append(s.runningEx, int32(id))
+		e.departEv = s.eng.Schedule(now+rec.ServiceTime, s.cbDepart, int32(id))
 		if e.pending && s.acct.CanSprint(now) {
 			s.engageSprint(int32(id))
-		} else {
-			e.departEv = s.eng.Schedule(now+rec.ServiceTime, s.cbDepart, int32(id))
 		}
 	}
 }
@@ -265,7 +264,7 @@ func (s *server) onTimeout(id int32) {
 }
 
 // engageSprint switches query id to sprinting from its current (tau,
-// segStart) and replans its departure. Caller must have updated
+// segStart) and re-keys its pending departure. Caller must have updated
 // tau/segStart to now.
 func (s *server) engageSprint(id int32) {
 	e := &s.execs[id]
@@ -279,8 +278,7 @@ func (s *server) engageSprint(id int32) {
 	rec.Sprinted = true
 	rec.SprintTau = e.tau
 	remaining := e.toggle + e.stretch*e.curve.SprintedRemaining(rec.ServiceTime, e.tau)
-	s.eng.Cancel(e.departEv)
-	e.departEv = s.eng.Schedule(now+remaining, s.cbDepart, id)
+	e.departEv = s.eng.Reschedule(e.departEv, now+remaining)
 	s.replanBudget()
 }
 
@@ -308,20 +306,18 @@ func (s *server) sprintStretch(e *execution) float64 {
 // accountant's current time-to-empty horizon.
 func (s *server) replanBudget() {
 	now := s.eng.Now()
-	s.eng.Cancel(s.budgetEv)
-	s.budgetEv = sim.Handle{}
-	tte := s.acct.TimeToEmpty(now)
-	if math.IsInf(tte, 1) {
-		return
+	if tte := s.acct.TimeToEmpty(now); math.IsInf(tte, 1) {
+		s.eng.Cancel(s.budgetEv)
+		s.budgetEv = sim.Handle{}
+	} else if s.budgetEv = s.eng.Reschedule(s.budgetEv, now+tte); s.budgetEv == (sim.Handle{}) {
+		s.budgetEv = s.eng.Schedule(now+tte, s.cbBudget, 0)
 	}
-	s.budgetEv = s.eng.Schedule(now+tte, s.cbBudget, 0)
 }
 
 // onBudgetEmpty force-stops every active sprint: remaining work continues
 // at the sustained rate (Figure 1's "sprinting budget is exhausted").
 func (s *server) onBudgetEmpty() {
 	now := s.eng.Now()
-	s.budgetEv = sim.Handle{}
 	for _, id := range s.runningEx {
 		e := &s.execs[id]
 		if !e.sprint {
