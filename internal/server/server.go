@@ -263,24 +263,34 @@ func (s *Server) Drain(ctx context.Context) error {
 	return firstErr
 }
 
+// configError reports a reload tenant set that is invalid as given: empty,
+// a missing or duplicate name, or a config no tenant can be built from
+// (an unparsable tier_spec, say). The daemon answers it with 400, so a
+// client does not retry it.
+type configError struct{ err error }
+
+func (e *configError) Error() string { return e.err.Error() }
+func (e *configError) Unwrap() error { return e.err }
+
 // Reload hot-swaps the tenant set without dropping requests. For each
 // reloaded tenant: build the replacement (worker unstarted — its queue
 // accepts and buffers immediately), swap it into the routing map, drain
 // the old worker, carry the old state over, then start the new worker
 // on the buffered backlog. Tenants absent from the new set are drained
-// and removed; new names are added.
+// and removed; new names are added. A tenant set that cannot be built
+// is rejected with a configError before any running tenant is touched.
 func (s *Server) Reload(ctx context.Context, cfgs []TenantConfig) error {
 	if len(cfgs) == 0 {
-		return fmt.Errorf("server: reload needs at least one tenant")
+		return &configError{errors.New("server: reload needs at least one tenant")}
 	}
 	fresh := make(map[string]*tenant, len(cfgs))
 	for _, cfg := range cfgs {
 		t, err := newTenant(cfg)
 		if err != nil {
-			return err
+			return &configError{err}
 		}
 		if _, dup := fresh[t.cfg.Name]; dup {
-			return fmt.Errorf("server: duplicate tenant %q in reload", t.cfg.Name)
+			return &configError{fmt.Errorf("server: duplicate tenant %q in reload", t.cfg.Name)}
 		}
 		fresh[t.cfg.Name] = t
 	}
@@ -563,7 +573,12 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.Reload(r.Context(), req.Tenants); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		status := http.StatusInternalServerError // drain or snapshot failure
+		var cfgErr *configError
+		if errors.As(err, &cfgErr) {
+			status = http.StatusBadRequest
+		}
+		http.Error(w, err.Error(), status)
 		return
 	}
 	writeJSON(w, map[string]int{"tenants": len(req.Tenants)})

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -292,6 +293,40 @@ func TestReadinessGateAndDrain(t *testing.T) {
 	// The drain snapshot landed.
 	if _, ok, err := ReadSnapshot(filepath.Join(dir, "state.json")); err != nil || !ok {
 		t.Fatalf("drain snapshot: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestReloadRejectsBadConfigWith400 pins the trust boundary on
+// /v1/reload: a tenant set that is invalid as given gets 400 (so the
+// client does not retry it) and leaves the running tenants untouched.
+func TestReloadRejectsBadConfigWith400(t *testing.T) {
+	s := newTestServer(t, Options{Tenants: testTenants("a", "b")})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	before := s.tenantList()
+
+	for name, cfgs := range map[string][]TenantConfig{
+		"empty tenant list": nil,
+		"empty name":        {{Name: "a"}, {Name: ""}},
+		"duplicate name":    {{Name: "a"}, {Name: "a"}},
+		"bad tier_spec":     {{Name: "a", TierSpec: "bound=nope"}},
+	} {
+		body, err := json.Marshal(ReloadRequest{Tenants: cfgs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code := postStatus(t, srv.URL+"/v1/reload", string(body)); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, code)
+		}
+		retries := 0
+		c := &Client{BaseURL: srv.URL, OnRetry: func(int) { retries++ }}
+		if err := c.Reload(context.Background(), cfgs); err == nil || retries != 0 {
+			t.Errorf("%s: client reload err %v after %d retries, want an error on the first attempt", name, err, retries)
+		}
+		after := s.tenantList()
+		if len(after) != len(before) || after[0] != before[0] || after[1] != before[1] {
+			t.Fatalf("%s: tenant set changed by a rejected reload", name)
+		}
 	}
 }
 
