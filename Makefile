@@ -156,10 +156,11 @@ bench-tier:
 	MDSPRINT_BENCH_TIER=1 $(GO) test -count=1 -run 'TestTierSpeedupBudget' ./internal/tier/
 
 # bench-sim measures the pooled event engine at queuesim's depths
-# (PooledEngine), the simulator hot path against the retired
-# heap-and-closure reference engine (Run, RunReps) and the calibration
-# probe that drives it (SimulateRT). Baseline in BENCH_sim.json; the
-# pooled RunReps must stay >=2x faster than the reference.
+# (PooledEngine), the simulator hot path against the test-only
+# heap-and-closure reference simulator in queuesim's reference_test.go
+# (the *Reference rows) and the calibration probe that drives it
+# (BenchmarkSimulateRT). Baseline in BENCH_sim.json; the pooled RunReps
+# must stay >=2x faster than the reference.
 .PHONY: bench-sim
 bench-sim:
 	$(GO) test -run '^$$' -bench 'BenchmarkPooledEngine' -benchmem ./internal/sim/

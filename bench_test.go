@@ -367,23 +367,26 @@ func BenchmarkAblationForest(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictionThroughput measures raw predictions per second at 1
-// worker and at full parallelism (the Section 3.6 scaling claim in
-// microbenchmark form).
+// BenchmarkPredictionThroughput measures raw predictions per second on
+// one goroutine and with one prediction per GOMAXPROCS worker (the
+// Section 3.6 scaling claim in microbenchmark form).
 func BenchmarkPredictionThroughput(b *testing.B) {
 	p := benchSimParams(10000)
 	b.Run("1-worker", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := queuesim.Predict(p, 2, 1); err != nil {
+			if _, err := queuesim.Predict(p, 2); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("all-workers", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := queuesim.Predict(p, 8, 0); err != nil {
-				b.Fatal(err)
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if _, err := queuesim.Predict(p, 2); err != nil {
+					b.Error(err)
+					return
+				}
 			}
-		}
+		})
 	})
 }

@@ -50,6 +50,8 @@ func BenchmarkSimulateRT(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rate := ds.MarginalRate * (1 + 1e-7*float64(i))
-		SimulateRT(ds, obs, rate, o)
+		if _, err := SimulateRTErr(ds, obs, rate, o); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

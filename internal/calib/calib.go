@@ -187,16 +187,6 @@ func SimulateRTErr(ds *profiler.Dataset, obs profiler.Observation, rate float64,
 	return pred.MeanRT, nil
 }
 
-// SimulateRT is SimulateRTErr for callers with no error channel; it
-// panics if the simulation fails (Must semantics).
-func SimulateRT(ds *profiler.Dataset, obs profiler.Observation, rate float64, o Options) float64 {
-	rt, err := SimulateRTErr(ds, obs, rate, o)
-	if err != nil {
-		panic(err.Error())
-	}
-	return rt
-}
-
 // EffectiveRate finds mu_e for one observation. It returns the calibrated
 // record; search failures degrade gracefully to the nearest bound.
 func EffectiveRate(ds *profiler.Dataset, obs profiler.Observation, opts Options) (rec Record) {

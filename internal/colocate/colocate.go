@@ -234,25 +234,6 @@ func MeetsSLO(w Workload, p Plan, est RTEstimator) bool {
 // plan met the SLO and the workload needs a dedicated node.
 type Planner func(w Workload) (Plan, bool)
 
-// CtxPlanner is a Planner honoring cancellation: planning stops between
-// scoring chunks once ctx is done, and the error is non-nil only when
-// it is ctx's. A run that completes under a context chooses the same
-// plan as one without (determinism is never perturbed, only truncated).
-type CtxPlanner func(ctx context.Context, w Workload) (Plan, bool, error)
-
-// bind adapts a CtxPlanner into the context-free Planner shape.
-func bind(p CtxPlanner) Planner {
-	return func(w Workload) (Plan, bool) {
-		plan, ok, err := p(context.Background(), w)
-		if err != nil {
-			// Unreachable: the only error source is the context, and
-			// Background is never done.
-			panic(err.Error())
-		}
-		return plan, ok
-	}
-}
-
 // AWSPlanner applies the fixed policy, falling back to a dedicated node
 // when it violates the SLO.
 func AWSPlanner(est RTEstimator) Planner {
@@ -312,22 +293,13 @@ func candidates(w Workload, refills []float64) []Plan {
 // the cheapest (fraction, budget) combination that meets the SLO within
 // AWS's hourly budget window. Timeout stays 0 — every query sprints.
 func BudgetPlanner(est RTEstimator, refill float64) Planner {
-	return bind(BudgetPlannerCtx(est, refill))
-}
-
-// BudgetPlannerCtx is BudgetPlanner honoring cancellation (see
-// CtxPlanner).
-func BudgetPlannerCtx(est RTEstimator, refill float64) CtxPlanner {
 	if refill <= 0 {
 		refill = AWSRefill
 	}
-	return func(ctx context.Context, w Workload) (Plan, bool, error) {
+	return func(w Workload) (Plan, bool) {
 		base := est.BaselineRT(w)
 		cands := candidates(w, []float64{refill})
 		for i := 0; i < len(cands); i += scoreChunk {
-			if err := ctx.Err(); err != nil {
-				return Plan{}, false, fmt.Errorf("colocate: %w", err)
-			}
 			end := i + scoreChunk
 			if end > len(cands) {
 				end = len(cands)
@@ -335,11 +307,11 @@ func BudgetPlannerCtx(est RTEstimator, refill float64) CtxPlanner {
 			rts := meanRTs(est, w, cands[i:end])
 			for j, rt := range rts {
 				if rt <= SLOFactor*base {
-					return cands[i+j], true, nil
+					return cands[i+j], true
 				}
 			}
 		}
-		return Plan{Dedicated: true}, false, nil
+		return Plan{Dedicated: true}, false
 	}
 }
 
@@ -349,25 +321,15 @@ func BudgetPlannerCtx(est RTEstimator, refill float64) CtxPlanner {
 // meet the SLO at lower CPU commitments than any timeout-0, hourly-window
 // policy.
 func SprintPlanner(est RTEstimator, annealIter int, seed uint64) Planner {
-	return bind(SprintPlannerCtx(est, annealIter, seed))
-}
-
-// SprintPlannerCtx is SprintPlanner honoring cancellation: the context
-// is checked between scoring chunks and threaded into the timeout
-// annealing (see CtxPlanner).
-func SprintPlannerCtx(est RTEstimator, annealIter int, seed uint64) CtxPlanner {
 	if annealIter == 0 {
 		annealIter = 40
 	}
-	return func(ctx context.Context, w Workload) (Plan, bool, error) {
+	return func(w Workload) (Plan, bool) {
 		base := est.BaselineRT(w)
 		slo := SLOFactor * base
 		maxTO := 4 / (w.Class.BurstQPH / 3600) // ~4 unthrottled service times
 		cands := candidates(w, planRefills)
 		for i := 0; i < len(cands); i += scoreChunk {
-			if err := ctx.Err(); err != nil {
-				return Plan{}, false, fmt.Errorf("colocate: %w", err)
-			}
 			end := i + scoreChunk
 			if end > len(cands) {
 				end = len(cands)
@@ -376,7 +338,7 @@ func SprintPlannerCtx(est RTEstimator, annealIter int, seed uint64) CtxPlanner {
 			for j, rt0 := range rts {
 				p := cands[i+j]
 				if rt0 <= slo {
-					return p, true, nil
+					return p, true
 				}
 				// A timeout redistributes budget; it cannot rescue a
 				// plan that misses the SLO by a wide margin.
@@ -387,7 +349,7 @@ func SprintPlannerCtx(est RTEstimator, annealIter int, seed uint64) CtxPlanner {
 				// sweep. The trajectory is cohort-invariant, so the
 				// chosen timeout does not depend on the estimator's
 				// batching or the engine's worker count.
-				res, err := explore.MinimizeTimeoutBatchCtx(ctx, func(tos []float64) ([]float64, error) {
+				res, err := explore.MinimizeTimeoutBatchCtx(context.TODO(), func(tos []float64) ([]float64, error) {
 					variants := make([]Plan, len(tos))
 					for k, to := range tos {
 						variants[k] = p
@@ -396,18 +358,17 @@ func SprintPlannerCtx(est RTEstimator, annealIter int, seed uint64) CtxPlanner {
 					return meanRTs(est, w, variants), nil
 				}, 0, maxTO, explore.BatchOptions{Options: explore.Options{MaxIter: annealIter, Seed: seed}})
 				if err != nil {
-					if ctx.Err() != nil {
-						return Plan{}, false, fmt.Errorf("colocate: %w", ctx.Err())
-					}
+					// Unreachable: the objective never errs and the
+					// context is never done.
 					panic(err)
 				}
 				if res.RT <= slo {
 					p.Timeout = res.Point[0]
-					return p, true, nil
+					return p, true
 				}
 			}
 		}
-		return Plan{Dedicated: true}, false, nil
+		return Plan{Dedicated: true}, false
 	}
 }
 
@@ -431,123 +392,8 @@ func FillNode(ws []Workload, planner Planner) ([]Assignment, int) {
 	return out, len(out)
 }
 
-// FillNodeCtx is FillNode honoring cancellation: once ctx is done the
-// fill stops with ctx's error and no partial assignments.
-func FillNodeCtx(ctx context.Context, ws []Workload, planner CtxPlanner) ([]Assignment, int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var out []Assignment
-	used := 0.0
-	for _, w := range ws {
-		plan, _, err := planner(ctx, w)
-		if err != nil {
-			return nil, 0, err
-		}
-		if used+plan.CPUCommitment() > 1.0+1e-9 {
-			continue
-		}
-		used += plan.CPUCommitment()
-		out = append(out, Assignment{Workload: w, Plan: plan})
-	}
-	return out, len(out), nil
-}
-
 // Assignment is one hosted workload with its plan.
 type Assignment struct {
 	Workload Workload
 	Plan     Plan
-}
-
-// Node is one physical server.
-type Node struct {
-	Assignments []Assignment
-}
-
-// Commitment is the node's total reserved CPU.
-func (n Node) Commitment() float64 {
-	total := 0.0
-	for _, a := range n.Assignments {
-		total += a.Plan.CPUCommitment()
-	}
-	return total
-}
-
-// PackResult is the outcome of packing a workload combo.
-type PackResult struct {
-	Nodes []Node
-}
-
-// Pack places each workload using the planner, first-fit onto nodes
-// without oversubscription; dedicated workloads get their own node.
-func Pack(ws []Workload, planner Planner) PackResult {
-	res, err := PackCtx(context.Background(), ws, func(_ context.Context, w Workload) (Plan, bool, error) {
-		p, ok := planner(w)
-		return p, ok, nil
-	})
-	if err != nil {
-		// Unreachable: the adapted planner never errs and Background is
-		// never done.
-		panic(err.Error())
-	}
-	return res
-}
-
-// PackCtx is Pack honoring cancellation: once ctx is done the packing
-// stops with ctx's error and no partial result.
-func PackCtx(ctx context.Context, ws []Workload, planner CtxPlanner) (PackResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var res PackResult
-	for _, w := range ws {
-		plan, ok, err := planner(ctx, w)
-		if err != nil {
-			return PackResult{}, err
-		}
-		if !ok {
-			res.Nodes = append(res.Nodes, Node{Assignments: []Assignment{{Workload: w, Plan: plan}}})
-			continue
-		}
-		placed := false
-		for i := range res.Nodes {
-			n := &res.Nodes[i]
-			if len(n.Assignments) > 0 && n.Assignments[0].Plan.Dedicated {
-				continue
-			}
-			if n.Commitment()+plan.CPUCommitment() <= 1.0+1e-9 {
-				n.Assignments = append(n.Assignments, Assignment{Workload: w, Plan: plan})
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			res.Nodes = append(res.Nodes, Node{Assignments: []Assignment{{Workload: w, Plan: plan}}})
-		}
-	}
-	return res, nil
-}
-
-// Hosted returns the number of workloads placed (all of them; dedicated
-// ones just occupy whole nodes).
-func (r PackResult) Hosted() int {
-	n := 0
-	for _, node := range r.Nodes {
-		n += len(node.Assignments)
-	}
-	return n
-}
-
-// RevenuePerHour is the total hourly revenue across nodes.
-func (r PackResult) RevenuePerHour() float64 {
-	return PricePerHour * float64(r.Hosted())
-}
-
-// RevenuePerNode is Figure 13's metric: hourly revenue divided by nodes
-// used.
-func (r PackResult) RevenuePerNode() float64 {
-	if len(r.Nodes) == 0 {
-		return 0
-	}
-	return r.RevenuePerHour() / float64(len(r.Nodes))
 }

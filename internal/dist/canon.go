@@ -27,7 +27,7 @@ const (
 	canonErlang
 	canonHyperexponential
 	canonEmpirical // raw samples; retired, superseded by canonEmpiricalDigest
-	canonMixture
+	canonMixture   // retired with the Mixture distribution; never reuse
 	canonSequence
 	canonScaled
 	canonEmpiricalDigest
@@ -77,18 +77,6 @@ func AppendCanon(b []byte, d Dist) ([]byte, error) {
 	case *Empirical:
 		b = appendLen(append(b, canonEmpiricalDigest), len(v.values))
 		return append(b, v.digest[:]...), nil
-	case Mixture:
-		b = appendLen(append(b, canonMixture), len(v.Weights))
-		for _, w := range v.Weights {
-			b = appendFloat(b, w)
-		}
-		var err error
-		for _, c := range v.Components {
-			if b, err = AppendCanon(b, c); err != nil {
-				return nil, err
-			}
-		}
-		return b, nil
 	case *Sequence:
 		// Sequence is stateful: the replay cursor is part of the
 		// identity, since two sequences at different positions produce

@@ -31,9 +31,6 @@ func TestCanonEqualDistsEqualBytes(t *testing.T) {
 		{"empirical", NewEmpirical([]float64{1, 2, 3}), NewEmpirical([]float64{1, 2, 3})},
 		{"pareto", ParetoForRate(0.5, 0.5, 10), ParetoForRate(0.5, 0.5, 10)},
 		{"scaled", Scaled{Base: NewExponential(1), Factor: 2}, Scaled{Base: NewExponential(1), Factor: 2}},
-		{"mixture",
-			NewMixture([]float64{0.4, 0.6}, []Dist{NewExponential(1), Deterministic{Value: 2}}),
-			NewMixture([]float64{0.4, 0.6}, []Dist{NewExponential(1), Deterministic{Value: 2}})},
 	}
 	for _, p := range pairs {
 		if !bytes.Equal(mustCanon(t, p.a), mustCanon(t, p.b)) {
@@ -63,7 +60,6 @@ func TestCanonDistinguishesParamsAndTypes(t *testing.T) {
 		NewEmpirical([]float64{1, 2, 4}),
 		Scaled{Base: NewExponential(1), Factor: 2},
 		Scaled{Base: NewExponential(1), Factor: 3},
-		NewMixture([]float64{1}, []Dist{NewExponential(1)}),
 		NewSequence([]float64{1, 2}, 0),
 	}
 	seen := make(map[string]int)
@@ -111,10 +107,9 @@ func TestCanonUnknownTypeErrors(t *testing.T) {
 	if _, err := AppendCanon(nil, unknownDist{}); err == nil {
 		t.Fatal("unknown distribution type must refuse a canonical encoding")
 	}
-	// An unknown component buried in a mixture must surface too.
-	mix := NewMixture([]float64{1}, []Dist{unknownDist{}})
-	if _, err := AppendCanon(nil, mix); err == nil {
-		t.Fatal("unknown mixture component must refuse a canonical encoding")
+	// An unknown base buried in a wrapper must surface too.
+	if _, err := AppendCanon(nil, Scaled{Base: unknownDist{}, Factor: 2}); err == nil {
+		t.Fatal("unknown scaled base must refuse a canonical encoding")
 	}
 }
 

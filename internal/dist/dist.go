@@ -303,53 +303,6 @@ func (d *Empirical) String() string        { return fmt.Sprintf("Empirical(n=%d)
 // Len returns the number of underlying observations.
 func (d *Empirical) Len() int { return len(d.values) }
 
-// Mixture draws from component i with probability Weights[i]. It models
-// query mixes where each class has its own service-time distribution.
-type Mixture struct {
-	Weights    []float64
-	Components []Dist
-}
-
-// NewMixture validates weights (must sum to 1) and returns a mixture.
-func NewMixture(weights []float64, components []Dist) Mixture {
-	if len(weights) != len(components) || len(weights) == 0 {
-		panic("dist: mixture weights/components mismatch")
-	}
-	sum := 0.0
-	for _, w := range weights {
-		if w < 0 {
-			panic("dist: mixture weights must be non-negative")
-		}
-		sum += w
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		panic("dist: mixture weights must sum to 1")
-	}
-	return Mixture{Weights: weights, Components: components}
-}
-
-func (d Mixture) Sample(r *RNG) float64 {
-	u := r.Float64()
-	acc := 0.0
-	for i, w := range d.Weights {
-		acc += w
-		if u < acc {
-			return d.Components[i].Sample(r)
-		}
-	}
-	return d.Components[len(d.Components)-1].Sample(r)
-}
-
-func (d Mixture) Mean() float64 {
-	m := 0.0
-	for i, w := range d.Weights {
-		m += w * d.Components[i].Mean()
-	}
-	return m
-}
-
-func (d Mixture) String() string { return fmt.Sprintf("Mixture(%d)", len(d.Components)) }
-
 // Sequence replays a fixed list of values in order, cycling, each
 // multiplied by a uniform jitter in [1-Jitter, 1+Jitter]. It scripts
 // arrival patterns (e.g. Figure 1's idle-start-then-burst trace) while

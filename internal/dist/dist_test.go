@@ -182,14 +182,6 @@ func TestEmpiricalCopiesInput(t *testing.T) {
 	}
 }
 
-func TestMixtureMean(t *testing.T) {
-	d := NewMixture(
-		[]float64{0.4, 0.6},
-		[]Dist{NewExponential(1), Deterministic{Value: 10}},
-	)
-	checkMean(t, d, 0.02)
-}
-
 func TestScaled(t *testing.T) {
 	base := Deterministic{Value: 8}
 	d := Scaled{Base: base, Factor: 0.25}

@@ -20,20 +20,9 @@ type secondMomenter interface {
 // with ok=true means the moment genuinely diverges (heavy tails), which
 // callers must treat as unusable for mean-wait formulas.
 func SecondMoment(d Dist) (float64, bool) {
-	switch v := d.(type) {
-	case Scaled:
+	if v, ok := d.(Scaled); ok {
 		m2, ok := SecondMoment(v.Base)
 		return v.Factor * v.Factor * m2, ok
-	case Mixture:
-		m2 := 0.0
-		for i, w := range v.Weights {
-			c, ok := SecondMoment(v.Components[i])
-			if !ok {
-				return 0, false
-			}
-			m2 += w * c
-		}
-		return m2, true
 	}
 	if sm, ok := d.(secondMomenter); ok {
 		return sm.SecondMoment(), true

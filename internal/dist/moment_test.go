@@ -26,7 +26,6 @@ func TestSecondMomentAgainstSampling(t *testing.T) {
 		{"tpareto-alpha2", TruncatedPareto{Xm: 1, Alpha: 2, Max: 50}, 0.06},
 		{"empirical", NewEmpirical([]float64{1, 2, 2, 5, 9}), 0.03},
 		{"scaled", Scaled{Base: NewExponential(1), Factor: 2.5}, 0.03},
-		{"mixture", NewMixture([]float64{0.3, 0.7}, []Dist{NewExponential(1), Deterministic{Value: 2}}), 0.03},
 		{"sequence", NewSequence([]float64{1, 2, 3}, 0.2), 0.02},
 	}
 	for _, tc := range cases {
@@ -70,9 +69,9 @@ func TestSecondMomentDivergent(t *testing.T) {
 // TestSecondMomentUnavailable pins the ok=false path for wrappers whose
 // component lacks a closed form.
 func TestSecondMomentUnavailable(t *testing.T) {
-	unknown := Mixture{Weights: []float64{1}, Components: []Dist{fakeDist{}}}
+	unknown := Scaled{Base: fakeDist{}, Factor: 2}
 	if _, ok := SecondMoment(unknown); ok {
-		t.Fatal("mixture over an unknown component must report ok=false")
+		t.Fatal("scaling an unknown distribution must report ok=false")
 	}
 	if _, ok := SecondMoment(fakeDist{}); ok {
 		t.Fatal("unknown distribution must report ok=false")

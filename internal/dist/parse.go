@@ -133,15 +133,6 @@ func ParseDist(spec string) (Dist, error) {
 	}
 }
 
-// MustParseDist is ParseDist for static specs; it panics on error.
-func MustParseDist(spec string) Dist {
-	d, err := ParseDist(spec)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // parseArgs splits and parses a comma-separated float list, rejecting
 // NaN/Inf (which would poison every downstream mean and sample).
 func parseArgs(s string) ([]float64, error) {

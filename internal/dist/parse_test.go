@@ -76,15 +76,6 @@ func TestParseDistErrors(t *testing.T) {
 	}
 }
 
-func TestMustParseDistPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustParseDist on bad spec did not panic")
-		}
-	}()
-	MustParseDist("nope(1)")
-}
-
 func FuzzParseDist(f *testing.F) {
 	for _, seed := range []string{
 		"exp(1)", "det(2)", "uniform(0,1)", "pareto(1,2)", "tpareto(1,2,9)",

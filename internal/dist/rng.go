@@ -1,7 +1,8 @@
 // Package dist provides deterministic pseudo-random number generation and
 // the probability distributions used throughout the sprinting simulators:
 // exponential, Pareto (plain and truncated), deterministic, uniform,
-// log-normal, Erlang, hyperexponential, empirical, and mixtures.
+// log-normal, Erlang, hyperexponential, empirical, scripted sequences and
+// scaled variants of any of them.
 //
 // Everything in this package is seeded explicitly. Simulation experiments
 // must be reproducible run-to-run, so no global RNG state is used anywhere

@@ -110,7 +110,6 @@ func TestStringMethodsNamed(t *testing.T) {
 		"Erlang":    Erlang{K: 2, Rate: 1},
 		"HyperExp":  NewHyperexponential([]float64{0.5, 0.5}, []float64{1, 2}),
 		"Empirical": NewEmpirical([]float64{1, 2}),
-		"Mixture":   NewMixture([]float64{1}, []Dist{Deterministic{Value: 1}}),
 		"Sequence":  NewSequence([]float64{1}, 0),
 		"*":         Scaled{Base: Deterministic{Value: 1}, Factor: 2},
 	}
@@ -129,12 +128,10 @@ func TestEmpiricalLen(t *testing.T) {
 
 func TestConstructorPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"exp rate 0":       func() { NewExponential(0) },
-		"empirical empty":  func() { NewEmpirical(nil) },
-		"mixture mismatch": func() { NewMixture([]float64{1}, nil) },
-		"mixture bad sum":  func() { NewMixture([]float64{0.5}, []Dist{Deterministic{Value: 1}}) },
-		"lognormal bad":    func() { LogNormalFromMeanCV(-1, 0.5) },
-		"pareto-rate bad":  func() { ParetoForRate(0, 0.5, 50) },
+		"exp rate 0":      func() { NewExponential(0) },
+		"empirical empty": func() { NewEmpirical(nil) },
+		"lognormal bad":   func() { LogNormalFromMeanCV(-1, 0.5) },
+		"pareto-rate bad": func() { ParetoForRate(0, 0.5, 50) },
 	} {
 		func() {
 			defer func() {

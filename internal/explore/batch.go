@@ -223,15 +223,10 @@ func callBatch(obj BatchObjective, pts [][]float64) ([]float64, error) {
 	return vals, nil
 }
 
-// MinimizeTimeoutBatch is MinimizeTimeout with a batch objective: anneal
-// the timeout alone over [lo, hi] with the +-100 s neighbour window,
-// scoring cohorts of candidate timeouts per call.
-func MinimizeTimeoutBatch(obj func(timeouts []float64) ([]float64, error), lo, hi float64, opts BatchOptions) (Result, error) {
-	return MinimizeTimeoutBatchCtx(context.Background(), obj, lo, hi, opts)
-}
-
-// MinimizeTimeoutBatchCtx is MinimizeTimeoutBatch honoring cancellation
-// (see MinimizeBatchCtx).
+// MinimizeTimeoutBatchCtx is MinimizeTimeout with a batch objective,
+// honoring cancellation (see MinimizeBatchCtx): anneal the timeout alone
+// over [lo, hi] with the +-100 s neighbour window, scoring cohorts of
+// candidate timeouts per call.
 func MinimizeTimeoutBatchCtx(ctx context.Context, obj func(timeouts []float64) ([]float64, error), lo, hi float64, opts BatchOptions) (Result, error) {
 	space := Space{
 		Lo:            []float64{lo},

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -107,7 +108,7 @@ var errSentinel = sentinelError{}
 // TestMinimizeTimeoutBatchWrapper: the 1-D wrapper finds the knee of a
 // convex timeout curve.
 func TestMinimizeTimeoutBatchWrapper(t *testing.T) {
-	res, err := MinimizeTimeoutBatch(func(ts []float64) ([]float64, error) {
+	res, err := MinimizeTimeoutBatchCtx(context.Background(), func(ts []float64) ([]float64, error) {
 		out := make([]float64, len(ts))
 		for i, to := range ts {
 			out[i] = (to - 70) * (to - 70)

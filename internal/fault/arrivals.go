@@ -1,10 +1,6 @@
 package fault
 
-import (
-	"math"
-
-	"mdsprint/internal/obs"
-)
+import "mdsprint/internal/obs"
 
 // ArrivalFaultConfig configures an ArrivalFaults injector.
 type ArrivalFaultConfig struct {
@@ -18,25 +14,20 @@ type ArrivalFaultConfig struct {
 	// BurstSpacing is the gap in seconds between injected burst
 	// arrivals (default 0.02).
 	BurstSpacing float64
-	// DriftPerArrival compounds a relative stretch (+) or compression
-	// (−) onto each successive inter-arrival gap, modelling a slowly
-	// drifting true rate that the estimator must track.
-	DriftPerArrival float64
 	// Metrics receives the injector's counters; nil records into
 	// obs.Default().
 	Metrics *obs.Registry
 }
 
-// ArrivalFaults perturbs an arrival-timestamp stream with bursts and
-// rate drift before it reaches online.RateEstimator. The injector is
-// stateful — drift compounds and fault decisions are keyed by a running
-// arrival index — so one injector instance can perturb a stream
+// ArrivalFaults perturbs an arrival-timestamp stream with bursts before
+// it reaches online.RateEstimator. The injector is stateful — fault
+// decisions are keyed by a running arrival index and bursts shift every
+// later timestamp — so one injector instance can perturb a stream
 // delivered across many Perturb calls and still be deterministic. Not
 // safe for concurrent use (neither is the estimator it feeds).
 type ArrivalFaults struct {
 	cfg   ArrivalFaultConfig
 	seen  uint64  // arrivals processed so far, the determinism key
-	drift float64 // compounded gap scale
 	last  float64 // last emitted timestamp
 	begun bool
 
@@ -55,17 +46,15 @@ func NewArrivalFaults(cfg ArrivalFaultConfig) *ArrivalFaults {
 	reg := obs.Or(cfg.Metrics)
 	return &ArrivalFaults{
 		cfg:      cfg,
-		drift:    1,
 		bursts:   reg.Counter("mdsprint_fault_bursts_total", "arrival bursts injected"),
 		injected: reg.Counter("mdsprint_fault_burst_arrivals_total", "extra arrivals injected by bursts"),
 	}
 }
 
-// Perturb applies drift and burst injection to a batch of ascending
-// arrival timestamps and returns the perturbed batch, still ascending.
-// Drift rescales each inter-arrival gap by the compounded factor;
-// bursts append BurstSize closely spaced arrivals after the triggering
-// one.
+// Perturb applies burst injection to a batch of ascending arrival
+// timestamps and returns the perturbed batch, still ascending. Each
+// inter-arrival gap is kept; bursts append BurstSize closely spaced
+// arrivals after the triggering one.
 func (f *ArrivalFaults) Perturb(times []float64) []float64 {
 	out := make([]float64, 0, len(times))
 	for _, t := range times {
@@ -79,14 +68,7 @@ func (f *ArrivalFaults) Perturb(times []float64) []float64 {
 			if gap < 0 {
 				gap = 0
 			}
-			//lint:ignore floateq exact zero is the drift-disabled sentinel; any nonzero drift must compound
-			if f.cfg.DriftPerArrival != 0 {
-				f.drift *= 1 + f.cfg.DriftPerArrival
-				// Keep the compounded scale in a sane band so long
-				// streams cannot drive gaps to zero or infinity.
-				f.drift = math.Min(math.Max(f.drift, 0.1), 10)
-			}
-			f.last += gap * f.drift
+			f.last += gap
 		}
 		out = append(out, f.last)
 		if f.cfg.BurstProb > 0 && rng.Float64() < f.cfg.BurstProb {

@@ -1,10 +1,9 @@
 // Package fault provides deterministic, seeded fault injection and the
 // resilience primitives the graceful-degradation control plane is built
-// on. The injectors corrupt the inputs each layer of the sprinting stack
-// depends on — profiler samples (SampleFaults), arrival-timestamp streams
-// feeding online.RateEstimator (ArrivalFaults), sweep-engine tasks
-// (SweepFaultConfig), and HTTP round trips for the harness
-// (RoundTripper) — while the Breaker and the scripted Scenario registry
+// on. The injectors corrupt the inputs the online control plane depends
+// on — arrival-timestamp streams feeding online.RateEstimator
+// (ArrivalFaults) and HTTP round trips to sprintd (RoundTripper) — while
+// the Breaker and the scripted Scenario registry
 // supply the recovery side: circuit breaking around expensive model
 // calls and reproducible end-to-end chaos scripts.
 //
@@ -38,10 +37,10 @@ func itemRNG(seed uint64, channel uint64, i uint64) *dist.RNG {
 }
 
 // Channel tags for itemRNG; each injector draws from its own stream.
+// Values 1 and 3 belonged to retired injectors; the others keep their
+// numbers so every existing fault schedule replays unchanged.
 const (
-	chanSamples uint64 = iota + 1
-	chanArrivals
-	chanSweep
-	chanHTTP
-	chanChaos
+	chanArrivals uint64 = 2
+	chanHTTP     uint64 = 4
+	chanChaos    uint64 = 5
 )

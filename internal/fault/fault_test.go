@@ -1,17 +1,13 @@
 package fault
 
 import (
-	"errors"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"mdsprint/internal/obs"
-	"mdsprint/internal/sweep"
 )
 
 func TestItemRNGIndependentOfOrder(t *testing.T) {
@@ -19,15 +15,15 @@ func TestItemRNGIndependentOfOrder(t *testing.T) {
 	// (seed, channel, i), never on how many other items were drawn.
 	forward := make([]float64, 8)
 	for i := range forward {
-		forward[i] = itemRNG(42, chanSamples, uint64(i)).Float64()
+		forward[i] = itemRNG(42, chanArrivals, uint64(i)).Float64()
 	}
 	for i := len(forward) - 1; i >= 0; i-- {
-		if got := itemRNG(42, chanSamples, uint64(i)).Float64(); got != forward[i] {
+		if got := itemRNG(42, chanArrivals, uint64(i)).Float64(); got != forward[i] {
 			t.Fatalf("item %d drew %v forward, %v backward", i, forward[i], got)
 		}
 	}
 	// Distinct channels must decorrelate.
-	if itemRNG(42, chanSamples, 0).Float64() == itemRNG(42, chanArrivals, 0).Float64() {
+	if itemRNG(42, chanArrivals, 0).Float64() == itemRNG(42, chanHTTP, 0).Float64() {
 		t.Fatal("channels share a stream")
 	}
 }
@@ -100,56 +96,6 @@ func TestBreakerStateStrings(t *testing.T) {
 	}
 }
 
-func TestSampleFaultsDeterministicAndBounded(t *testing.T) {
-	samples := make([]float64, 500)
-	for i := range samples {
-		samples[i] = 1.0
-	}
-	f := SampleFaults{Seed: 9, DropRate: 0.3, CorruptRate: 0.2, CorruptFactor: 4, Metrics: obs.NewRegistry()}
-	a := f.Apply(samples)
-	b := f.Apply(samples)
-	if len(a) != len(b) {
-		t.Fatalf("replay lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > 0 {
-			t.Fatalf("replay diverged at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-	if len(a) == len(samples) || len(a) == 0 {
-		t.Fatalf("drop rate 0.3 kept %d of %d", len(a), len(samples))
-	}
-	corrupted := 0
-	for _, s := range a {
-		if s < 0.25-1e-12 || s > 4+1e-12 {
-			t.Fatalf("corrupted sample %v outside [1/4, 4]", s)
-		}
-		if s < 0.999 || s > 1.001 {
-			corrupted++
-		}
-	}
-	if corrupted == 0 {
-		t.Fatal("corrupt rate 0.2 corrupted nothing")
-	}
-	// The input must be untouched.
-	for i, s := range samples {
-		if s < 1 || s > 1 {
-			t.Fatalf("input sample %d modified to %v", i, s)
-		}
-	}
-}
-
-func TestSampleFaultsNeverReturnsEmpty(t *testing.T) {
-	f := SampleFaults{Seed: 3, DropRate: 1.0, Metrics: obs.NewRegistry()}
-	out := f.Apply([]float64{7, 8, 9})
-	if len(out) != 1 || out[0] < 7 || out[0] > 7 {
-		t.Fatalf("all-drop output %v, want the first sample kept", out)
-	}
-	if got := f.Apply(nil); len(got) != 0 {
-		t.Fatalf("empty input produced %v", got)
-	}
-}
-
 func TestArrivalFaultsDeterministicAcrossBatching(t *testing.T) {
 	// One stream delivered whole must equal the same stream delivered in
 	// arbitrary batch splits: fault decisions key on the running arrival
@@ -158,7 +104,7 @@ func TestArrivalFaultsDeterministicAcrossBatching(t *testing.T) {
 	for i := range times {
 		times[i] = float64(i) * 0.5
 	}
-	cfg := ArrivalFaultConfig{Seed: 77, BurstProb: 0.1, BurstSize: 3, DriftPerArrival: 0.002, Metrics: obs.NewRegistry()}
+	cfg := ArrivalFaultConfig{Seed: 77, BurstProb: 0.1, BurstSize: 3, Metrics: obs.NewRegistry()}
 	whole := NewArrivalFaults(cfg).Perturb(times)
 	split := NewArrivalFaults(cfg)
 	var pieced []float64
@@ -184,80 +130,6 @@ func TestArrivalFaultsDeterministicAcrossBatching(t *testing.T) {
 		if whole[i] < whole[i-1] {
 			t.Fatalf("output not ascending at %d: %v < %v", i, whole[i], whole[i-1])
 		}
-	}
-}
-
-func TestArrivalFaultsDriftClamped(t *testing.T) {
-	f := NewArrivalFaults(ArrivalFaultConfig{Seed: 5, DriftPerArrival: 0.5, Metrics: obs.NewRegistry()})
-	times := make([]float64, 100)
-	for i := range times {
-		times[i] = float64(i)
-	}
-	out := f.Perturb(times)
-	// Compounded 1.5x per arrival would overflow without the clamp; with
-	// it the last gap is at most 10x the input gap.
-	lastGap := out[len(out)-1] - out[len(out)-2]
-	if lastGap > 10+1e-9 {
-		t.Fatalf("drift gap %v, want clamped to <= 10", lastGap)
-	}
-	neg := NewArrivalFaults(ArrivalFaultConfig{Seed: 5, DriftPerArrival: -0.5, Metrics: obs.NewRegistry()})
-	out = neg.Perturb(times)
-	lastGap = out[len(out)-1] - out[len(out)-2]
-	if lastGap < 0.1-1e-9 {
-		t.Fatalf("compression gap %v, want clamped to >= 0.1", lastGap)
-	}
-}
-
-func TestSweepHookDeterministicPerIndex(t *testing.T) {
-	cfg := SweepFaultConfig{Seed: 13, ErrProb: 0.3, Metrics: obs.NewRegistry()}
-	hook := cfg.Hook()
-	verdicts := make([]bool, 100)
-	for i := range verdicts {
-		verdicts[i] = hook(i, sweep.Task{}) != nil
-	}
-	// Replay in reverse order: same per-index verdicts.
-	rehook := cfg.Hook()
-	for i := len(verdicts) - 1; i >= 0; i-- {
-		if got := rehook(i, sweep.Task{}) != nil; got != verdicts[i] {
-			t.Fatalf("task %d verdict changed across call order", i)
-		}
-	}
-	errs := 0
-	for _, v := range verdicts {
-		if v {
-			errs++
-		}
-	}
-	if errs == 0 || errs == len(verdicts) {
-		t.Fatalf("error prob 0.3 produced %d/100 errors", errs)
-	}
-}
-
-func TestSweepHookPanicNamesTask(t *testing.T) {
-	hook := SweepFaultConfig{Seed: 2, PanicProb: 1, Metrics: obs.NewRegistry()}.Hook()
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected an injected panic")
-		}
-		if s, ok := r.(string); !ok || !strings.Contains(s, "task 7") {
-			t.Fatalf("panic %v does not name the task", r)
-		}
-	}()
-	// The hook must never return from a panic fault.
-	if err := hook(7, sweep.Task{}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSweepHookDelay(t *testing.T) {
-	reg := obs.NewRegistry()
-	hook := SweepFaultConfig{Seed: 2, DelayProb: 1, Delay: time.Millisecond, Metrics: reg}.Hook()
-	if err := hook(0, sweep.Task{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("mdsprint_fault_sweep_delays_total", "").Value(); got < 1 {
-		t.Fatalf("delay counter %v, want >= 1", got)
 	}
 }
 
@@ -365,20 +237,6 @@ func TestScenarioExpectLevelsInRange(t *testing.T) {
 			t.Errorf("scenario %q ends deeper than its max: %+v", sc.Name, sc.Expect)
 		}
 	}
-}
-
-var errSentinel = errors.New("sentinel")
-
-func TestSweepHookErrorMentionsFault(t *testing.T) {
-	hook := SweepFaultConfig{Seed: 4, ErrProb: 1, Metrics: obs.NewRegistry()}.Hook()
-	err := hook(3, sweep.Task{})
-	if err == nil || !strings.Contains(err.Error(), "fault: injected error at task 3") {
-		t.Fatalf("err = %v, want an injected-error message naming task 3", err)
-	}
-	if errors.Is(err, errSentinel) {
-		t.Fatal("injected errors must not alias caller sentinels")
-	}
-	_ = fmt.Sprintf("%v", err)
 }
 
 // TestBreakerSnapshotRestore pins the persistence surface in-package:

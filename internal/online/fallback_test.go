@@ -264,10 +264,13 @@ func TestChaosModelAndViolations(t *testing.T) {
 // warmth, which replays legitimately differ on).
 func TestDecisionRecordsEstimatorTier(t *testing.T) {
 	reg := obs.NewRegistry()
-	est := tier.Must(tier.Spec{}, tier.Options{
+	est, err := tier.New(tier.Spec{}, tier.Options{
 		Engine:  sweep.New(sweep.Options{Metrics: obs.NewRegistry()}),
 		Metrics: obs.NewRegistry(),
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// The primary model queries the estimator with an analytic-eligible
 	// M/M/1 task, the way a tiered core model would.
 	primary := scriptModel{name: "tiered", fn: func(core.Scenario) (core.Prediction, error) {

@@ -14,10 +14,10 @@ import (
 // sharing, and a two-queue JSQ fan-out of the FIFO baseline.
 func jointCandidates() []JointCandidate {
 	return []JointCandidate{
-		{Discipline: queuesim.MustParseDiscipline("fifo")},
-		{Discipline: queuesim.MustParseDiscipline("srpt")},
-		{Discipline: queuesim.MustParseDiscipline("ps")},
-		{Discipline: queuesim.MustParseDiscipline("fifo"), Servers: 2, Dispatch: dispatch.JSQ()},
+		{Discipline: queuesim.Discipline{Kind: queuesim.DiscFIFO}},
+		{Discipline: queuesim.Discipline{Kind: queuesim.DiscSRPT}},
+		{Discipline: queuesim.Discipline{Kind: queuesim.DiscPS}},
+		{Discipline: queuesim.Discipline{Kind: queuesim.DiscFIFO}, Servers: 2, Dispatch: dispatch.JSQ()},
 	}
 }
 
@@ -108,13 +108,17 @@ func TestJointSearchErrors(t *testing.T) {
 }
 
 func TestJointCandidateLabel(t *testing.T) {
-	if l := (JointCandidate{Discipline: queuesim.MustParseDiscipline("srpt")}).Label(); l != "srpt" {
+	if l := (JointCandidate{Discipline: queuesim.Discipline{Kind: queuesim.DiscSRPT}}).Label(); l != "srpt" {
 		t.Fatalf("label %q", l)
 	}
+	rnd2, err := dispatch.RandomD(2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	jc := JointCandidate{
-		Discipline: queuesim.MustParseDiscipline("serpt(0.3)"),
+		Discipline: queuesim.Discipline{Kind: queuesim.DiscSERPT, PredictCV: 0.3},
 		Servers:    4,
-		Dispatch:   dispatch.MustParse("rnd(2)"),
+		Dispatch:   rnd2,
 	}
 	if l := jc.Label(); l != "serpt(0.3)/rnd(2)@4" {
 		t.Fatalf("label %q", l)

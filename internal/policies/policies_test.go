@@ -170,10 +170,14 @@ func TestExpectedRTViaTiers(t *testing.T) {
 	full := ExpectedRT(c, s, rate)
 
 	tc := c
-	tc.Tiers = tier.Must(tier.Spec{Bound: 0.1}, tier.Options{
+	var err error
+	tc.Tiers, err = tier.New(tier.Spec{Bound: 0.1}, tier.Options{
 		Engine:  sweep.New(sweep.Options{Metrics: obs.NewRegistry()}),
 		Metrics: obs.NewRegistry(),
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	tiered := ExpectedRT(tc, s, rate)
 
 	if rel := math.Abs(tiered-full) / full; rel > tc.Tiers.Spec().Bound {

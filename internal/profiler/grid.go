@@ -89,25 +89,9 @@ func (g Grid) Sample(n int, seed uint64) []Condition {
 	return out
 }
 
-// Split partitions conditions into train and test sets with the given
-// train fraction (the paper uses 80/20 and 90/10), deterministically.
-func Split(conds []Condition, trainFrac float64, seed uint64) (train, test []Condition) {
-	r := dist.NewRNG(seed)
-	perm := r.Perm(len(conds))
-	nTrain := int(float64(len(conds)) * trainFrac)
-	train = make([]Condition, 0, nTrain)
-	test = make([]Condition, 0, len(conds)-nTrain)
-	for i, idx := range perm {
-		if i < nTrain {
-			train = append(train, conds[idx])
-		} else {
-			test = append(test, conds[idx])
-		}
-	}
-	return train, test
-}
-
-// SplitObservations partitions a dataset's observations the same way.
+// SplitObservations partitions a dataset's observations into train and
+// test sets with the given train fraction (the paper uses 80/20 and
+// 90/10), deterministically.
 func SplitObservations(obs []Observation, trainFrac float64, seed uint64) (train, test []Observation) {
 	r := dist.NewRNG(seed)
 	perm := r.Perm(len(obs))

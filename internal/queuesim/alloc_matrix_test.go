@@ -62,7 +62,10 @@ func TestDisciplineDispatchZeroAllocsMatrix(t *testing.T) {
 			ds, spec := ds, spec
 			t.Run(ds.name+"/"+spec, func(t *testing.T) {
 				p := matrixParams()
-				p.Discipline = queuesim.MustParseDiscipline(spec)
+				var err error
+				if p.Discipline, err = queuesim.ParseDiscipline(spec); err != nil {
+					t.Fatal(err)
+				}
 				if p.Discipline.Kind == queuesim.DiscPS {
 					// PS rejects sprinting; the matrix still pins its
 					// event-driven sharing cycle at zero allocations.

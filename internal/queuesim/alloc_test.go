@@ -155,12 +155,12 @@ func TestPredictSerialZeroAllocs(t *testing.T) {
 	}
 	p := allocParams()
 	for i := 0; i < 3; i++ {
-		if _, err := Predict(p, 4, 1); err != nil {
+		if _, err := Predict(p, 4); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := Predict(p, 4, 1); err != nil {
+		if _, err := Predict(p, 4); err != nil {
 			t.Fatal(err)
 		}
 	})

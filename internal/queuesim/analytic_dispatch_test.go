@@ -116,7 +116,7 @@ func TestRoundRobinSplitBounds(t *testing.T) {
 // noise (and random-d(2) must land between random and JSQ).
 func TestLeastWorkBeatsJSQUnderVariance(t *testing.T) {
 	const queries = 40000
-	service := dist.MustParseDist("lognormal(1,2)") // mean 1, cv 2
+	service := dist.LogNormalFromMeanCV(1, 2) // mean 1, cv 2
 	base := queuesim.Params{
 		ArrivalRate:   1.4,
 		Service:       service,

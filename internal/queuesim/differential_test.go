@@ -2,10 +2,11 @@ package queuesim
 
 // Differential equivalence suite: the pooled production engine
 // (queuesim.go on sim.PooledEngine) must produce bit-identical output to
-// the preserved heap-and-closure reference implementation (reference.go
-// on sim.Engine) — response-time and queueing-time vectors, every scalar
-// in Result, and the full tracer event sequence — across policies, refill
-// modes, arrival processes and seeds. Nothing here tolerates epsilon:
+// the preserved heap-and-closure reference implementation
+// (reference_test.go, on its own closure engine) — response-time and
+// queueing-time vectors, every scalar in Result, and the full tracer
+// event sequence — across policies, refill modes, arrival processes and
+// seeds. Nothing here tolerates epsilon:
 // the two implementations share the RNG draw order, the accountant call
 // order and the (time, seq) event order, so any divergence is a bug, not
 // noise.
@@ -290,29 +291,4 @@ func TestRunnerReuseAcrossPolicies(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireResultsIdentical(t, first, want)
-}
-
-// TestPredictWorkerCountInvariant checks the chunked parallel path pools
-// the same numbers regardless of worker count (replication seeds depend
-// only on the replication index).
-func TestPredictWorkerCountInvariant(t *testing.T) {
-	p := diffConfigs[1].p
-	p.Seed = 5
-	p.NumQueries = 300
-	serial, err := Predict(p, 6, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 6, 8} {
-		par, err := Predict(p, 6, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(par.MeanRT) != math.Float64bits(serial.MeanRT) ||
-			math.Float64bits(par.P95RT) != math.Float64bits(serial.P95RT) ||
-			math.Float64bits(par.P99RT) != math.Float64bits(serial.P99RT) ||
-			par.QueriesSimulated != serial.QueriesSimulated {
-			t.Fatalf("workers=%d: %+v differs from serial %+v", workers, par, serial)
-		}
-	}
 }

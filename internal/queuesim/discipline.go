@@ -12,9 +12,9 @@ import (
 // be displaced) changes both the response-time distribution and the value
 // of a sprint prediction — SkipPredict's cheap/expensive split is exactly
 // a size-ordered discipline. The FIFO path keeps the original ring buffer
-// and is bit-identical to the retained reference engine; the ordered
-// disciplines share one intrusive index heap over the query slab, so
-// selecting a discipline never adds a steady-state allocation.
+// and is bit-identical to the reference engine in reference_test.go; the
+// ordered disciplines share one intrusive index heap over the query slab,
+// so selecting a discipline never adds a steady-state allocation.
 
 // DisciplineKind names a queueing discipline.
 type DisciplineKind string
@@ -127,16 +127,6 @@ func ParseDiscipline(spec string) (Discipline, error) {
 	default:
 		return Discipline{}, fmt.Errorf("queuesim: unknown discipline %q", spec)
 	}
-}
-
-// MustParseDiscipline is ParseDiscipline for static specs; it panics on
-// error.
-func MustParseDiscipline(spec string) Discipline {
-	d, err := ParseDiscipline(spec)
-	if err != nil {
-		panic(err)
-	}
-	return d
 }
 
 // qHeap is an intrusive index heap over the runner's query slab: it holds

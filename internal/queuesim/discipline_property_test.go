@@ -1,7 +1,7 @@
 package queuesim
 
 // Property tests for the discipline layer: the explicit-FIFO spelling is
-// bit-identical to the retained reference engine, and every discipline —
+// bit-identical to the reference engine, and every discipline —
 // under randomly drawn dist specs — preserves work conservation (same
 // single-server busy periods, so the same makespan) and Little's law as
 // an exact sample-path identity.
@@ -14,6 +14,16 @@ import (
 	"mdsprint/internal/dist"
 	"mdsprint/internal/obs"
 )
+
+// parseDist is dist.ParseDist for the property tables' static specs.
+func parseDist(t *testing.T, spec string) dist.Dist {
+	t.Helper()
+	d, err := dist.ParseDist(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
 
 // TestDifferentialExplicitFIFODiscipline re-runs every differential
 // config with the discipline machinery explicitly engaged (spelled-out
@@ -37,7 +47,9 @@ func TestDifferentialExplicitFIFODiscipline(t *testing.T) {
 				}
 
 				pp := p
-				pp.Discipline = MustParseDiscipline("FIFO")
+				if pp.Discipline, err = ParseDiscipline("FIFO"); err != nil {
+					t.Fatal(err)
+				}
 				pp.Servers = 1
 				gotTracer, gotEvents := captureTracer()
 				pp.Tracer = gotTracer
@@ -85,8 +97,8 @@ var propDisciplines = []Discipline{
 //     float round-off), discipline by discipline.
 func TestDisciplineWorkConservationAndLittle(t *testing.T) {
 	prop := func(seed uint64, arrPick, svcPick uint8) bool {
-		arr := dist.MustParseDist(propArrivalSpecs[int(arrPick)%len(propArrivalSpecs)])
-		svc := dist.MustParseDist(propServiceSpecs[int(svcPick)%len(propServiceSpecs)])
+		arr := parseDist(t, propArrivalSpecs[int(arrPick)%len(propArrivalSpecs)])
+		svc := parseDist(t, propServiceSpecs[int(svcPick)%len(propServiceSpecs)])
 		base := Params{
 			ArrivalRate:   8,
 			Arrival:       arr,
@@ -158,7 +170,7 @@ func TestDisciplineWorkConservationAndLittle(t *testing.T) {
 // preemptive disciplines keep their counters consistent.
 func TestDisciplineInvariantsUnderSprinting(t *testing.T) {
 	prop := func(seed uint64, svcPick uint8, timeoutBump float64) bool {
-		svc := dist.MustParseDist(propServiceSpecs[int(svcPick)%len(propServiceSpecs)])
+		svc := parseDist(t, propServiceSpecs[int(svcPick)%len(propServiceSpecs)])
 		timeout := math.Mod(math.Abs(timeoutBump), 0.3)
 		ok := true
 		for _, d := range propDisciplines {

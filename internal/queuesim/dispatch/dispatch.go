@@ -179,12 +179,3 @@ func Parse(spec string) (queuesim.Dispatcher, error) {
 		return nil, fmt.Errorf("dispatch: unknown dispatcher %q", spec)
 	}
 }
-
-// MustParse is Parse for static specs; it panics on error.
-func MustParse(spec string) queuesim.Dispatcher {
-	d, err := Parse(spec)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}

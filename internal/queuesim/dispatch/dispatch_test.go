@@ -5,7 +5,6 @@ package dispatch
 // loop, and the Parse/Canon spec grammar.
 
 import (
-	"strings"
 	"testing"
 
 	"mdsprint/internal/queuesim"
@@ -130,11 +129,10 @@ func TestParseRoundTrip(t *testing.T) {
 		}
 	}
 	// Case and whitespace insensitivity.
-	if d := MustParse(" JSQ "); d.Canon() != "jsq" {
-		t.Errorf("MustParse(\" JSQ \") = %q", d.Canon())
-	}
-	if d := MustParse("RND( 3 )"); d.Canon() != "rnd(3)" {
-		t.Errorf("MustParse(\"RND( 3 )\") = %q", d.Canon())
+	for spec, want := range map[string]string{" JSQ ": "jsq", "RND( 3 )": "rnd(3)"} {
+		if d, err := Parse(spec); err != nil || d.Canon() != want {
+			t.Errorf("Parse(%q) = %v, %v; want %q", spec, d, err, want)
+		}
 	}
 }
 
@@ -147,17 +145,4 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("Parse(%q) = %v, want error", spec, d.Canon())
 		}
 	}
-}
-
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("MustParse on a bad spec did not panic")
-		}
-		if !strings.Contains(r.(error).Error(), "unknown dispatcher") {
-			t.Fatalf("unexpected panic: %v", r)
-		}
-	}()
-	MustParse("nope")
 }

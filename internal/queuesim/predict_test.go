@@ -37,9 +37,9 @@ func oldPredict(t *testing.T, p Params, reps int) Prediction {
 
 // TestPredictMatchesPooledSummarize holds Predict to the old per-rep,
 // pooled and Summarize computation bit for bit, for 1-4 replications,
-// serial and parallel, on a sprinting FIFO point and a heavy-tailed
-// SRPT point. Repeating each call also checks that the serial path's
-// reused buffers carry nothing from one prediction into the next.
+// on a sprinting FIFO point and a heavy-tailed SRPT point. Repeating
+// each call also checks that the pooled Runner's reused buffers carry
+// nothing from one prediction into the next.
 func TestPredictMatchesPooledSummarize(t *testing.T) {
 	srpt := allocParams()
 	srpt.Discipline = Discipline{Kind: DiscSRPT}
@@ -49,15 +49,15 @@ func TestPredictMatchesPooledSummarize(t *testing.T) {
 	for name, p := range points {
 		for reps := 1; reps <= 4; reps++ {
 			want := oldPredict(t, p, reps)
-			for _, workers := range []int{1, 1, 2} {
-				got, err := Predict(p, reps, workers)
+			for call := 0; call < 2; call++ {
+				got, err := Predict(p, reps)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if bits(got.MeanRT) != bits(want.MeanRT) || bits(got.P95RT) != bits(want.P95RT) ||
 					bits(got.P99RT) != bits(want.P99RT) || got.Replications != want.Replications ||
 					got.QueriesSimulated != want.QueriesSimulated {
-					t.Errorf("%s reps=%d workers=%d: %+v, want %+v", name, reps, workers, got, want)
+					t.Errorf("%s reps=%d call %d: %+v, want %+v", name, reps, call, got, want)
 				}
 			}
 		}

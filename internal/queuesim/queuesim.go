@@ -27,14 +27,14 @@
 // Runner carries every buffer (including the RNG and budget accountant)
 // across runs. Steady state simulates a query with zero heap allocations
 // (enforced by TestRunnerZeroAllocsPerQuery). The original
-// heap-and-closure implementation is preserved in reference.go, and the
-// differential suite proves the two produce bit-identical results.
+// heap-and-closure implementation is preserved, on its own copy of the
+// closure engine, in reference_test.go, and the differential suite proves
+// the two produce bit-identical results.
 package queuesim
 
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"mdsprint/internal/dist"
@@ -97,8 +97,9 @@ type Params struct {
 	// (arrival, service start, sprint start/stop, timeout, budget
 	// exhaustion, refill, departure). A nil tracer skips every hook;
 	// see BenchmarkSimulateOne for the enforced disabled-overhead
-	// budget. A tracer shared across Predict replications must be safe
-	// for concurrent use (obs.RingTracer is).
+	// budget. Predict replays its replications serially into the same
+	// tracer; one shared across Params that run concurrently (a sweep
+	// batch, say) must be safe for concurrent use (obs.RingTracer is).
 	Tracer obs.QueryTracer
 	// Clock times the run for the flushed metrics (run seconds, event
 	// rate). Simulation itself runs on virtual time and never reads it;
@@ -1065,91 +1066,31 @@ type Prediction struct {
 	QueriesSimulated int
 }
 
-// Predict runs reps independent replications (in parallel across at most
-// workers goroutines; 0 means NumCPU) and pools their response times.
-// This is the prediction primitive behind Figure 11's throughput study.
-// Replications are sharded in contiguous chunks, one reusable Runner per
-// worker, and each replication's seed depends only on its index — so the
-// pooled output is bit-identical regardless of worker count. With one
-// worker (the sweep engine's setting) the pooled Runner also owns the
-// replay result and the pooled response-time buffer, so a steady-state
-// prediction allocates nothing.
-func Predict(p Params, reps, workers int) (Prediction, error) {
+// Predict runs reps independent replications and pools their response
+// times. This is the prediction primitive behind Figure 11's throughput
+// study, which gets its parallelism from the sweep engine running many
+// predictions at once. Each replication's seed depends only on its
+// index, and the pooled Runner owns the replay result and the pooled
+// response-time buffer, so a steady-state prediction allocates nothing.
+func Predict(p Params, reps int) (Prediction, error) {
 	if err := p.validate(); err != nil {
 		return Prediction{}, err
 	}
 	if reps <= 0 {
 		reps = 1
 	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > reps {
-		workers = reps
-	}
-	if workers == 1 {
-		r := getRunner()
-		defer putRunner(r)
-		pooled := r.pooledRTs[:0]
-		for i := 0; i < reps; i++ {
-			pi := p
-			pi.Seed = repSeed(p.Seed, i)
-			if err := r.RunInto(pi, &r.predRes); err != nil {
-				return Prediction{}, err
-			}
-			pooled = append(pooled, r.predRes.RTs...)
-		}
-		r.pooledRTs = pooled
-		return pooledPrediction(pooled, reps), nil
-	}
-	return predictParallel(p, reps, workers)
-}
-
-// predictParallel is Predict's fork-join path over workers > 1. It lives
-// apart so the goroutines' captures cannot move the serial path's Params
-// to the heap.
-func predictParallel(p Params, reps, workers int) (Prediction, error) {
-	all := make([][]float64, reps)
-	chunk := (reps + workers - 1) / workers
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > reps {
-			hi = reps
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		//lint:ignore ctxleak bounded fork-join: replications always complete and are joined before Predict returns
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			r := getRunner()
-			defer putRunner(r)
-			for i := lo; i < hi; i++ {
-				pi := p
-				pi.Seed = repSeed(p.Seed, i)
-				var res Result
-				if err := r.RunInto(pi, &res); err != nil {
-					errs[w] = err
-					return
-				}
-				all[i] = res.RTs
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	r := getRunner()
+	defer putRunner(r)
+	pooled := r.pooledRTs[:0]
+	for i := 0; i < reps; i++ {
+		pi := p
+		pi.Seed = repSeed(p.Seed, i)
+		if err := r.RunInto(pi, &r.predRes); err != nil {
 			return Prediction{}, err
 		}
+		pooled = append(pooled, r.predRes.RTs...)
 	}
-	pooled := make([]float64, 0, reps*p.NumQueries)
-	for _, rts := range all {
-		pooled = append(pooled, rts...)
-	}
+	r.pooledRTs = pooled
 	return pooledPrediction(pooled, reps), nil
 }
 

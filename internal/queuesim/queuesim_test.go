@@ -283,7 +283,7 @@ func TestPredictPoolsReplications(t *testing.T) {
 		Warmup:      200,
 		Seed:        31,
 	}
-	pred, err := Predict(p, 4, 2)
+	pred, err := Predict(p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,10 +293,10 @@ func TestPredictPoolsReplications(t *testing.T) {
 	if pred.P99RT < pred.P95RT || pred.P95RT < pred.MeanRT*0.3 {
 		t.Fatalf("prediction stats inconsistent: %+v", pred)
 	}
-	// Same seed, different worker counts: identical pooled mean.
-	pred2, _ := Predict(p, 4, 4)
+	// Same seed: identical pooled mean.
+	pred2, _ := Predict(p, 4)
 	if pred.MeanRT != pred2.MeanRT {
-		t.Fatal("Predict not deterministic across worker counts")
+		t.Fatal("Predict not deterministic")
 	}
 }
 

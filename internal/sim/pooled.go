@@ -1,25 +1,28 @@
+// Package sim provides the discrete-event simulation engine both the
+// ground-truth testbed (internal/testbed) and the model-side queue
+// simulator (internal/queuesim) are built on: a monotonic virtual clock
+// and a cancellable, allocation-free event heap.
+//
+// The paper's reference simulator (Algorithm 1) steps a microsecond-
+// resolution clock; scheduling events on a heap is semantically equivalent
+// (queuesim's tests cross-validate against a faithful tick-stepped
+// implementation) and orders of magnitude faster, which is what makes the
+// policy-space exploration of Section 4 practical.
+//
+// A policy search performs millions of queuesim runs (Section 3.6), so the
+// PooledEngine allocates nothing per event: events live in a reusable slot
+// pool addressed by generation-checked Handles, callbacks are registered
+// once per consumer and invoked by CallbackID with an int32 argument
+// (typically a pooled-object index), and the priority queue is a binary
+// heap of inline (time, seq) keys over slot indices, sifted by moving a
+// hole; Reschedule re-keys a live event in place. Events fire in (time,
+// seq) order with seq assigned at Schedule time, so same-time events fire
+// in scheduling order, and cancelled events never fire. queuesim's
+// differential suite checks the engine bit for bit against a test-only
+// copy of the original closure-and-heap engine.
 package sim
 
 import "fmt"
-
-// This file is the allocation-free sibling of engine.go. The closure-based
-// Engine allocates one *Event plus one Action closure per scheduled event,
-// which is fine for the ground-truth testbed but dominates the cost of the
-// millions of queuesim runs a policy search performs (Section 3.6). The
-// PooledEngine replaces both allocations with a slab: events live in a
-// reusable slot pool addressed by generation-checked Handles, callbacks are
-// registered once per consumer and invoked by CallbackID with an int32
-// argument (typically a pooled-object index), and the priority queue is a
-// binary heap of inline (time, seq) keys over slot indices, sifted by
-// moving a hole; Reschedule re-keys a live event in place. Steady-state
-// scheduling, cancelling and firing perform zero heap allocations.
-//
-// Semantics match Engine exactly: events fire in (time, seq) order with
-// seq assigned at Schedule time, so FIFO ties break identically; cancelled
-// events never fire. (Engine drops cancelled events lazily at the heap
-// top, the PooledEngine unlinks them eagerly — the set and order of fired
-// events is the same either way, which queuesim's differential suite
-// checks bit-for-bit.)
 
 // CallbackID names a callback registered with PooledEngine.Register.
 type CallbackID int32
@@ -219,24 +222,6 @@ func (e *PooledEngine) Step() bool {
 	e.now = top.time
 	e.cbs[s.cb](s.arg)
 	return true
-}
-
-// Run fires events until the queue is empty or until the next event is
-// strictly after limit (the clock then rests at limit). It returns the
-// number of events fired.
-func (e *PooledEngine) Run(limit float64) int {
-	fired := 0
-	for {
-		if len(e.heap) == 0 {
-			return fired
-		}
-		if e.heap[0].time > limit {
-			e.now = limit
-			return fired
-		}
-		e.Step()
-		fired++
-	}
 }
 
 // RunAll fires events until none remain, returning the count. Use only

@@ -222,29 +222,10 @@ func TestPooledAfter(t *testing.T) {
 	}
 }
 
-func TestPooledRunRespectsLimit(t *testing.T) {
-	r := newRecorder()
-	for i := 1; i <= 10; i++ {
-		r.eng.Schedule(float64(i), r.cb, int32(i))
-	}
-	if fired := r.eng.Run(5.5); fired != 5 {
-		t.Fatalf("Run(5.5) fired %d, want 5", fired)
-	}
-	if r.eng.Now() != 5.5 {
-		t.Fatalf("clock %v after limited run, want 5.5", r.eng.Now())
-	}
-	if fired := r.eng.Run(100); fired != 5 {
-		t.Fatalf("resumed run fired %d, want 5", fired)
-	}
-}
-
 func TestPooledRunEmpty(t *testing.T) {
 	eng := NewPooled()
 	if eng.Step() {
 		t.Fatal("Step on an empty engine returned true")
-	}
-	if fired := eng.Run(10); fired != 0 {
-		t.Fatalf("Run on empty engine fired %d", fired)
 	}
 	if fired := eng.RunAll(); fired != 0 {
 		t.Fatalf("RunAll on empty engine fired %d", fired)
@@ -321,76 +302,6 @@ func TestPooledNilCallbackPanics(t *testing.T) {
 		}
 	}()
 	NewPooled().Register(nil)
-}
-
-// TestPooledMatchesEngineRandomized drives both engine implementations
-// through an identical randomized schedule/cancel/reschedule script and
-// requires the identical firing sequence — the engine-level differential
-// behind queuesim's end-to-end suite.
-func TestPooledMatchesEngineRandomized(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%80) + 5
-		rng := dist.NewRNG(seed)
-
-		type firing struct {
-			label int32
-			at    float64
-		}
-		var refFired, poolFired []firing
-
-		ref := New()
-		refEvents := make([]*Event, n)
-		pool := NewPooled()
-		poolCB := pool.Register(func(arg int32) {
-			poolFired = append(poolFired, firing{arg, pool.Now()})
-		})
-		poolHandles := make([]Handle, n)
-
-		for i := 0; i < n; i++ {
-			at := rng.Float64() * 100
-			label := int32(i)
-			refEvents[i] = ref.Schedule(at, func() {
-				refFired = append(refFired, firing{label, ref.Now()})
-			})
-			poolHandles[i] = pool.Schedule(at, poolCB, label)
-		}
-		// Cancel a third, reschedule a third (same indices on both).
-		// Cancelled indices are excluded from rescheduling: the lazy
-		// engine happily resurrects a cancelled event's action while the
-		// pooled engine's stale handle is a no-op — a divergence outside
-		// the supported contract (consumers only reschedule live events).
-		cancelled := make(map[int]bool)
-		for i := 0; i < n/3; i++ {
-			idx := rng.Intn(n)
-			cancelled[idx] = true
-			ref.Cancel(refEvents[idx])
-			pool.Cancel(poolHandles[idx])
-		}
-		for i := 0; i < n/3; i++ {
-			idx := rng.Intn(n)
-			at := rng.Float64() * 100
-			if cancelled[idx] {
-				continue
-			}
-			refEvents[idx] = ref.Reschedule(refEvents[idx], at)
-			poolHandles[idx] = pool.Reschedule(poolHandles[idx], at)
-		}
-		ref.RunAll()
-		pool.RunAll()
-
-		if len(refFired) != len(poolFired) {
-			return false
-		}
-		for i := range refFired {
-			if refFired[i] != poolFired[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // oracle is the reference model for the PooledEngine's contract: a

@@ -256,34 +256,6 @@ func median3(a, b, c float64) float64 {
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
-// Min returns the smallest element of xs, or NaN for empty input.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs, or NaN for empty input.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // AbsRelError returns |predicted - observed| / observed, the paper's
 // prediction-error metric. A zero observation yields +Inf unless the
 // prediction is also zero.
@@ -355,24 +327,6 @@ func (s Summary) String() string {
 		s.N, s.Mean, s.Std, s.Min, s.Median, s.P99, s.Max)
 }
 
-// CDFPoint is one step of an empirical cumulative distribution function.
-type CDFPoint struct {
-	Value    float64 // sample value
-	Fraction float64 // fraction of samples <= Value
-}
-
-// CDF returns the empirical CDF of xs as sorted points, one per sample.
-func CDF(xs []float64) []CDFPoint {
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	pts := make([]CDFPoint, len(sorted))
-	for i, v := range sorted {
-		pts[i] = CDFPoint{Value: v, Fraction: float64(i+1) / float64(len(sorted))}
-	}
-	return pts
-}
-
 // CDFAt returns the fraction of samples in xs that are <= v.
 func CDFAt(xs []float64, v float64) float64 {
 	if len(xs) == 0 {
@@ -401,25 +355,4 @@ func FractionAbove(xs []float64, v float64) float64 {
 		}
 	}
 	return float64(count) / float64(len(xs))
-}
-
-// Histogram counts xs into nbins equal-width bins over [lo, hi]. Samples
-// outside the range clamp to the first or last bin.
-func Histogram(xs []float64, lo, hi float64, nbins int) []int {
-	if nbins <= 0 || hi <= lo {
-		panic("stats: Histogram requires nbins>0 and hi>lo")
-	}
-	counts := make([]int, nbins)
-	width := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		b := int((x - lo) / width)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return counts
 }

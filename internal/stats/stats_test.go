@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -37,8 +36,6 @@ func TestEmptyInputsReturnNaN(t *testing.T) {
 		"Mean":     Mean(nil),
 		"Variance": Variance(nil),
 		"Median":   Median(nil),
-		"Min":      Min(nil),
-		"Max":      Max(nil),
 		"CoV":      CoV(nil),
 		"CDFAt":    CDFAt(nil, 1),
 	} {
@@ -103,7 +100,8 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 			q1, q2 = q2, q1
 		}
 		v1, v2 := Quantile(xs, q1), Quantile(xs, q2)
-		return v1 <= v2+1e-9 && v1 >= Min(xs)-1e-9 && v2 <= Max(xs)+1e-9
+		s := Summarize(xs)
+		return v1 <= v2+1e-9 && v1 >= s.Min-1e-9 && v2 <= s.Max+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -172,20 +170,6 @@ func TestSummarizeEmpty(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	pts := CDF([]float64{3, 1, 2})
-	if len(pts) != 3 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	wantVals := []float64{1, 2, 3}
-	wantFracs := []float64{1.0 / 3, 2.0 / 3, 1}
-	for i, p := range pts {
-		if p.Value != wantVals[i] || !almostEqual(p.Fraction, wantFracs[i], 1e-12) {
-			t.Errorf("point %d = %+v", i, p)
-		}
-	}
-}
-
 func TestCDFAtAndFractionAbove(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	if got := CDFAt(xs, 2.5); !almostEqual(got, 0.5, 1e-12) {
@@ -200,26 +184,6 @@ func TestCDFAtAndFractionAbove(t *testing.T) {
 			t.Errorf("CDFAt+FractionAbove at %v = %v", v, s)
 		}
 	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{-1, 0.5, 1.5, 2.5, 99}
-	counts := Histogram(xs, 0, 3, 3)
-	want := []int{2, 1, 2}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Fatalf("hist = %v, want %v", counts, want)
-		}
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on bad bins")
-		}
-	}()
-	Histogram(nil, 0, 1, 0)
 }
 
 func TestFitLinearExact(t *testing.T) {
@@ -283,12 +247,5 @@ func TestFitLinearResidualProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCDFSorted(t *testing.T) {
-	pts := CDF([]float64{5, 3, 8, 1, 9, 2})
-	if !sort.SliceIsSorted(pts, func(i, j int) bool { return pts[i].Value < pts[j].Value }) {
-		t.Fatal("CDF points not sorted")
 	}
 }

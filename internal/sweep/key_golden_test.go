@@ -42,7 +42,7 @@ func TestFingerprintGoldenKeys(t *testing.T) {
 			"051ade64d102306775d8c9d80deff82c"},
 		{"jsq fan-out", point(func(p *queuesim.Params) {
 			p.Servers = 3
-			p.Dispatch = dispatch.MustParse("jsq")
+			p.Dispatch = dispatch.JSQ()
 		}), 2, "6135db12ad17585627303d5e70fb6a2c"},
 	}
 	for _, c := range cases {

@@ -329,7 +329,7 @@ func (e *Engine) safePredict(p queuesim.Params, reps int) (pred queuesim.Predict
 			pred, err = queuesim.Prediction{}, fmt.Errorf("sweep: recovered panic: %v", r)
 		}
 	}()
-	return queuesim.Predict(p, reps, 1)
+	return queuesim.Predict(p, reps)
 }
 
 // runHook invokes the engine's task hook with the same panic

@@ -85,7 +85,7 @@ func TestShardingDeterminism(t *testing.T) {
 // TestEvaluateMatchesPredict pins the engine to the simulator it wraps.
 func TestEvaluateMatchesPredict(t *testing.T) {
 	task := testGrid()[7]
-	want, err := queuesim.Predict(task.Params, task.Reps, 1)
+	want, err := queuesim.Predict(task.Params, task.Reps)
 	if err != nil {
 		t.Fatal(err)
 	}

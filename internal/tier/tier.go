@@ -221,15 +221,6 @@ func New(spec Spec, o Options) (*Estimator, error) {
 	return e, nil
 }
 
-// Must is New for statically known specs; it panics on invalid ones.
-func Must(spec Spec, o Options) *Estimator {
-	e, err := New(spec, o)
-	if err != nil {
-		panic(err.Error())
-	}
-	return e
-}
-
 // Spec returns the resolved spec.
 func (e *Estimator) Spec() Spec { return e.spec }
 
