@@ -59,37 +59,60 @@ func Fig11(lab *Lab) Fig11Result {
 	if res.MaxCPUs > 1 {
 		workerSets = append(workerSets, res.MaxCPUs)
 	}
+	// A dedicated engine per worker count, cache disabled: this figure
+	// measures raw simulation throughput, and memoized hits would report
+	// cache reads as predictions.
+	engines := make([]*sweep.Engine, len(workerSets))
+	for i, workers := range workerSets {
+		engines[i] = sweep.New(sweep.Options{Workers: workers, CacheSize: -1})
+	}
 	perCore := map[int]map[int]float64{} // workers -> count -> preds/min
 	for _, workers := range workerSets {
-		// A dedicated engine per worker count, cache disabled: this
-		// figure measures raw simulation throughput, and memoized hits
-		// would report cache reads as predictions.
-		eng := sweep.New(sweep.Options{Workers: workers, CacheSize: -1})
 		perCore[workers] = map[int]float64{}
-		for _, n := range counts {
-			// One prediction = SimReps replications pooled. Measure
-			// a batch of predictions sharded across the worker pool.
-			batch := 6
-			if n >= 100000 {
-				batch = 2
+	}
+	for _, n := range counts {
+		// One prediction = SimReps replications pooled. Measure a batch
+		// of predictions sharded across the worker pool.
+		batch := 6
+		if n >= 100000 {
+			batch = 2
+		}
+		tasks := make([]sweep.Task, batch)
+		for b := range tasks {
+			tasks[b] = sweep.Task{
+				Params: fig11Params(n, lab.Scale.Seed+uint64(b)*977),
+				Reps:   lab.Scale.SimReps,
 			}
-			tasks := make([]sweep.Task, batch)
-			for b := range tasks {
-				tasks[b] = sweep.Task{
-					Params: fig11Params(n, lab.Scale.Seed+uint64(b)*977),
-					Reps:   lab.Scale.SimReps,
-				}
-			}
-			// Keep the fastest of three timings: other processes on a
-			// shared host easily stretch a window this short.
-			elapsed := math.Inf(1)
-			for range 3 {
+		}
+		// Keep the fastest of five timings per worker count, taking the
+		// worker counts in turn: other processes on a shared host easily
+		// stretch a window this short, and alternating exposes every
+		// worker count to the same background load, so a burst cannot
+		// land on one side of the scaling ratio only.
+		elapsed := make([]float64, len(workerSets))
+		for i := range elapsed {
+			elapsed[i] = math.Inf(1)
+		}
+		for range 5 {
+			for i, eng := range engines {
+				// Collect first, as testing.B does before each run: a
+				// cycle that starts inside the window takes one of the
+				// workers' CPUs for its mark phase, which only a
+				// many-worker batch would pay for.
+				runtime.GC()
 				start := time.Now()
 				if _, err := eng.EvaluateAll(tasks); err != nil {
 					panic(err)
 				}
-				elapsed = math.Min(elapsed, time.Since(start).Minutes())
+				elapsed[i] = math.Min(elapsed[i], time.Since(start).Minutes())
 			}
+		}
+		for i, workers := range workerSets {
+			perCore[workers][n] = float64(batch) / elapsed[i]
+		}
+	}
+	for i, workers := range workerSets {
+		for _, n := range counts {
 			// CoV across extra independent predictions (cheap
 			// single-rep runs) to see the variance knee.
 			covTasks := make([]sweep.Task, 12)
@@ -99,18 +122,16 @@ func Fig11(lab *Lab) Fig11Result {
 					Reps:   1,
 				}
 			}
-			means, err := eng.MeanRTs(covTasks)
+			means, err := engines[i].MeanRTs(covTasks)
 			if err != nil {
 				panic(err)
 			}
-			pt := Fig11Point{
+			res.Points = append(res.Points, Fig11Point{
 				QueriesPerPrediction: n,
 				Workers:              workers,
-				PredictionsPerMin:    float64(batch) / elapsed,
+				PredictionsPerMin:    perCore[workers][n],
 				CoV:                  stats.CoV(means),
-			}
-			perCore[workers][n] = pt.PredictionsPerMin
-			res.Points = append(res.Points, pt)
+			})
 		}
 	}
 	largest := counts[len(counts)-1]
