@@ -17,21 +17,22 @@ vet:
 	$(GO) vet ./...
 
 # lint runs sprintlint, the project-specific analyzers: the file-local
-# suite (float equality, error hygiene, lock copies, exported docs) plus
-# the interprocedural pair (hotalloc over //sprint:hotpath closures,
-# detflow determinism taint). -j 0 analyzes packages on all cores;
-# output is bit-identical at any job count. Exit 1 means diagnostics;
-# fix them or add a reasoned //lint:ignore (which becomes ledger debt —
-# see lint-debt).
+# suite (float equality, error hygiene, exported docs, goroutine
+# cancellation (ctxleak), pooled-slot captures (poolescape), un-ended
+# spans (spanleak)) plus the interprocedural pair (hotalloc over
+# //sprint:hotpath closures, detflow determinism taint). Packages are
+# analyzed on all cores; output is bit-identical at any GOMAXPROCS.
+# Exit 1 means diagnostics; fix them or add a reasoned //lint:ignore
+# (which becomes ledger debt — see lint-debt).
 .PHONY: lint
 lint:
-	$(GO) run ./cmd/sprintlint -j 0
+	$(GO) run ./cmd/sprintlint
 
 # lint-sarif emits the same run as SARIF 2.1.0 for CI's code-scanning
 # upload, so findings land as inline annotations on the PR diff.
 .PHONY: lint-sarif
 lint-sarif:
-	$(GO) run ./cmd/sprintlint -j 0 -format sarif > sprintlint.sarif || true
+	$(GO) run ./cmd/sprintlint -format sarif > sprintlint.sarif || true
 	@test -s sprintlint.sarif
 
 # lint-debt enforces the suppression-debt ledger: every //lint:ignore is

@@ -4,8 +4,6 @@
 //
 //	sprintlint                lint the module containing the working directory
 //	sprintlint -C dir         lint the module containing dir
-//	sprintlint -j N           analyze N packages in parallel (0 = GOMAXPROCS;
-//	                          output is bit-identical at any N)
 //	sprintlint -format sarif  SARIF 2.1.0 (CI annotation); also: text, json
 //	sprintlint -only a,b      run only the named analyzers
 //	sprintlint -list          describe the analyzer suite and exit
@@ -53,11 +51,9 @@ func main() {
 func run(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("sprintlint", flag.ContinueOnError)
 	dir := fs.String("C", ".", "lint the module containing this directory")
-	asJSON := fs.Bool("json", false, "alias for -format json")
 	format := fs.String("format", "text", "output format: text, json, or sarif")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := fs.Bool("list", false, "list the analyzer suite and exit")
-	jobs := fs.Int("j", 0, "packages analyzed in parallel (0 = GOMAXPROCS)")
 	hotpaths := fs.Bool("hotpaths", false, "list //sprint:hotpath roots and exit")
 	debt := fs.Bool("debt", false, "report suppression debt against the baseline")
 	baselinePath := fs.String("baseline", "", "baseline file (default lint-baseline.json under -C)")
@@ -72,9 +68,6 @@ func run(args []string, stdout io.Writer) int {
 		}
 		return 0
 	}
-	if *asJSON {
-		*format = "json"
-	}
 	switch *format {
 	case "text", "json", "sarif":
 	default:
@@ -86,7 +79,7 @@ func run(args []string, stdout io.Writer) int {
 	if *only != "" {
 		names = strings.Split(*only, ",")
 	}
-	res, err := lint.RunModule(*dir, lint.RunOpts{Only: names, Jobs: *jobs})
+	res, err := lint.RunModule(*dir, lint.RunOpts{Only: names})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sprintlint: %v\n", err)
 		return 2

@@ -38,7 +38,7 @@ func TestRunReportsDiagnostics(t *testing.T) {
 
 func TestRunJSON(t *testing.T) {
 	var out strings.Builder
-	code := run([]string{"-C", fixture("errdrop"), "-json"}, &out)
+	code := run([]string{"-C", fixture("errdrop"), "-format", "json"}, &out)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1", code)
 	}
@@ -51,7 +51,7 @@ func TestRunJSON(t *testing.T) {
 	}
 
 	out.Reset()
-	if code := run([]string{"-C", fixture("clean"), "-json"}, &out); code != 0 {
+	if code := run([]string{"-C", fixture("clean"), "-format", "json"}, &out); code != 0 {
 		t.Fatalf("exit %d on clean fixture", code)
 	}
 	if strings.TrimSpace(out.String()) != "[]" {

@@ -121,17 +121,6 @@ func (n *Node) Body() *ast.BlockStmt {
 	return nil
 }
 
-// Pos returns the node's declaration position.
-func (n *Node) Pos() token.Pos {
-	if n.Lit != nil {
-		return n.Lit.Pos()
-	}
-	if n.Decl != nil {
-		return n.Decl.Pos()
-	}
-	return token.NoPos
-}
-
 // CallGraph is the module-wide may-call graph.
 type CallGraph struct {
 	// Nodes in deterministic order (package, then position).
@@ -140,10 +129,6 @@ type CallGraph struct {
 	// through edges.
 	byFn map[*types.Func]*Node
 }
-
-// NodeFor resolves the node of a declared function, nil when fn is not
-// declared in the module.
-func (g *CallGraph) NodeFor(fn *types.Func) *Node { return g.byFn[fn] }
 
 // buildCallGraph constructs the graph over every loaded package.
 func buildCallGraph(pkgs []*Package) *CallGraph {

@@ -5,8 +5,9 @@ package lint
 // for the real module and for test fixtures.
 type Config struct {
 	// DeterministicPackages must be reproducible functions of their
-	// inputs: nondeterm forbids wall-clock reads, global math/rand use
-	// and map iteration inside them.
+	// inputs: detflow forbids wall-clock reads, global math/rand use,
+	// environment reads and map iteration inside them and in everything
+	// they call.
 	DeterministicPackages []string
 	// FloatEqAllow lists functions (as "relpkg.Func" or
 	// "relpkg.Type.Method") whose bodies may compare floats exactly —
@@ -16,9 +17,6 @@ type Config struct {
 	// matched against the callee's full name with an optional trailing
 	// '*' glob (e.g. "fmt.Fprint*", "(*strings.Builder).Write*").
 	ErrDropAllow []string
-	// DocPackages lists packages whose exported identifiers must carry
-	// doc comments.
-	DocPackages []string
 	// CtxPackages lists concurrency-bearing packages where ctxleak
 	// forbids spawning goroutines from functions that take no
 	// context.Context (callers would have no cancellation path).
@@ -29,16 +27,6 @@ type Config struct {
 	// goes stale when the slot is re-tenanted. poolescape flags function
 	// literals with such free variables inside the declaring package.
 	PooledTypes []string
-	// HotAllocCallees are callee patterns (calleeName globs) hotalloc
-	// treats as always-allocating when reached from a //sprint:hotpath
-	// closure; empty means the built-in stdlib list (fmt.*, log.*, ...).
-	HotAllocCallees []string
-	// DetflowAllow are call-graph node-name globs detflow treats as
-	// barriers — neither reported nor traversed. These are the injected
-	// abstractions (obs.Clock implementations, seeded RNG plumbing) the
-	// determinism contract already accounts for; empty means the
-	// built-in list.
-	DetflowAllow []string
 }
 
 // DefaultConfig returns the policy for this repository.
@@ -76,7 +64,6 @@ func DefaultConfig() *Config {
 			"(*strings.Builder).Write*",
 			"(*bytes.Buffer).Write*",
 		},
-		DocPackages: []string{"."},
 		// The packages that fan work out to goroutines: anything they
 		// spawn must be cancelable by the caller.
 		CtxPackages: []string{

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 )
 
 // CtxLeak enforces cancellation hygiene in the configured concurrency
@@ -11,7 +12,9 @@ import (
 // exactly how a stalled profiler run or a wedged HTTP replay outlives the
 // decision that requested it. Fork-joins that provably complete (bounded
 // workers, all results collected before return) may carry a reasoned
-// //lint:ignore ctxleak.
+// //lint:ignore ctxleak. No other gate sees this: the fixture's two
+// spawns, seeded into internal/sweep, pass go vet and the race-enabled
+// tests (the goroutines finish, so nothing leaks at test time).
 var CtxLeak = &Analyzer{
 	Name: "ctxleak",
 	Doc:  "forbid goroutine spawns in functions without a context.Context parameter in concurrency packages",
@@ -19,7 +22,7 @@ var CtxLeak = &Analyzer{
 }
 
 func runCtxLeak(pass *Pass) {
-	if !pkgMatchesAny(pass.Pkg, pass.Cfg.CtxPackages) {
+	if !slices.Contains(pass.Cfg.CtxPackages, pass.Pkg.Rel) {
 		return
 	}
 	info := pass.Pkg.Info

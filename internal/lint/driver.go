@@ -18,10 +18,6 @@ type RunOpts struct {
 	// restricted run cannot tell a stale suppression from one whose
 	// analyzer simply did not run).
 	Only []string
-	// Jobs bounds per-package analysis concurrency; <=0 means
-	// GOMAXPROCS. Output is bit-identical at any job count: packages
-	// are analyzed independently and merged in deterministic order.
-	Jobs int
 }
 
 // RunResult is one module lint run's full output.
@@ -37,11 +33,14 @@ type RunResult struct {
 }
 
 // RunModule loads the module rooted at (or above) dir, runs the
-// selected analyzers over every package on a bounded worker pool, and
-// returns diagnostics plus the suppression inventory. Interprocedural
+// selected analyzers over every package on GOMAXPROCS workers, and
+// returns diagnostics plus the suppression inventory sorted by
+// position. An error means the module could not be loaded or
+// type-checked — distinct from "diagnostics found". Interprocedural
 // facts (call graph, hot-path closure, determinism taint) are built
-// serially before the fan-out and are read-only afterwards, so the
-// result is bit-identical at any Jobs value.
+// serially before the fan-out and are read-only afterwards, and the
+// merged output is sorted, so the result is bit-identical at any
+// GOMAXPROCS.
 func RunModule(dir string, opts RunOpts) (*RunResult, error) {
 	cfg := opts.Config
 	if cfg == nil {
@@ -70,9 +69,7 @@ func RunModule(dir string, opts RunOpts) (*RunResult, error) {
 		case HotAlloc:
 			mod.hotFacts()
 		case DetFlow:
-			if len(cfg.DeterministicPackages) > 0 {
-				mod.detFacts(cfg)
-			}
+			mod.detReach(cfg)
 		}
 	}
 	fullSuite := len(opts.Only) == 0
@@ -81,16 +78,7 @@ func RunModule(dir string, opts RunOpts) (*RunResult, error) {
 		known[a.Name] = true
 	}
 
-	jobs := opts.Jobs
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	if jobs > len(pkgs) {
-		jobs = len(pkgs)
-	}
-	if jobs < 1 {
-		jobs = 1
-	}
+	jobs := min(runtime.GOMAXPROCS(0), len(pkgs))
 	perDiags := make([][]Diagnostic, len(pkgs))
 	perSups := make([][]SuppressionRecord, len(pkgs))
 	idx := make(chan int)

@@ -4,36 +4,39 @@ import (
 	"bytes"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 )
 
 // TestRunModuleParallelDeterministic is the bit-identical-output
-// contract: the same module analyzed at any job count yields the same
-// RunResult, down to the rendered SARIF bytes.
+// contract: the same module analyzed on one worker or on eight yields
+// the same RunResult, down to the rendered SARIF bytes.
 func TestRunModuleParallelDeterministic(t *testing.T) {
 	dir := filepath.Join("testdata", "src", "hotalloc")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var base *RunResult
 	var baseSARIF []byte
-	for _, jobs := range []int{1, 2, 8, 0} {
-		res, err := RunModule(dir, RunOpts{Jobs: jobs})
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		res, err := RunModule(dir, RunOpts{})
 		if err != nil {
-			t.Fatalf("RunModule(jobs=%d): %v", jobs, err)
+			t.Fatalf("RunModule(GOMAXPROCS=%d): %v", procs, err)
 		}
 		sarif, err := SARIF(res.Diagnostics)
 		if err != nil {
-			t.Fatalf("SARIF(jobs=%d): %v", jobs, err)
+			t.Fatalf("SARIF(GOMAXPROCS=%d): %v", procs, err)
 		}
 		if base == nil {
 			base, baseSARIF = res, sarif
 			continue
 		}
 		if !reflect.DeepEqual(res, base) {
-			t.Errorf("RunResult at jobs=%d differs from jobs=1:\n%+v\nvs\n%+v", jobs, res, base)
+			t.Errorf("RunResult at GOMAXPROCS=%d differs from GOMAXPROCS=1:\n%+v\nvs\n%+v", procs, res, base)
 		}
 		if !bytes.Equal(sarif, baseSARIF) {
-			t.Errorf("SARIF bytes at jobs=%d differ from jobs=1", jobs)
+			t.Errorf("SARIF bytes at GOMAXPROCS=%d differ from GOMAXPROCS=1", procs)
 		}
 	}
 	if len(base.Diagnostics) == 0 {
@@ -87,29 +90,29 @@ func TestRunModuleUnknownAnalyzer(t *testing.T) {
 	}
 }
 
-// TestDetflowAllowBarrier: a DetflowAllow glob turns a node into a
-// barrier — its own sources are not reported and nothing behind it is
-// traversed — mirroring how the real module exempts injected obs.Clock
-// implementations.
+// TestDetflowAllowBarrier: the built-in barriers stop detflow at the
+// injected clock. The detflow fixture lays out a miniature obs package
+// at internal/obs, so the barrier globs written for the real module
+// name its nodes: ClockOr and the Clock implementations read the wall
+// clock but are neither reported nor traversed, while obs.Elapsed, not
+// a barrier, is reported like any other reached source.
 func TestDetflowAllowBarrier(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "detflow")
-	cfg := fixtureConfig()
-	cfg.DetflowAllow = []string{"impure.Clock"}
-	diags, err := Run(dir, cfg, []string{"detflow"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sawStamp bool
-	for _, d := range diags {
-		if strings.Contains(d.Message, "impure.Clock") {
-			t.Errorf("allowed barrier node still reported: %s", d)
-		}
-		if strings.Contains(d.Message, "impure.Stamp") {
+	var sawElapsed, sawStamp bool
+	for _, d := range runFixture(t, "detflow", "detflow") {
+		switch {
+		case strings.Contains(d.Message, "internal/obs.Elapsed"):
+			sawElapsed = true
+		case strings.Contains(d.Message, "impure.Stamp"):
 			sawStamp = true
+		case strings.HasPrefix(d.File, "internal/obs/"):
+			t.Errorf("barrier node reported: %s", d)
 		}
+	}
+	if !sawElapsed {
+		t.Error("a non-barrier node in internal/obs was not reported")
 	}
 	if !sawStamp {
-		t.Error("barrier over impure.Clock must not silence unrelated sources (impure.Stamp)")
+		t.Error("the barriers silenced an unrelated source (impure.Stamp)")
 	}
 }
 

@@ -12,7 +12,9 @@ import (
 // acceptance tests both compare model outputs, where a bitwise compare is
 // almost never what is meant. Use stats.ApproxEqual / stats.ApproxZero,
 // or suppress with a reason where exact comparison is the point (NaN
-// guards, sentinel defaults, sorted-neighbour dedup).
+// guards, sentinel defaults, sorted-neighbour dedup). No other gate sees
+// this: the fixture's comparisons, seeded into internal/stats, pass go
+// vet and the race-enabled tests.
 var FloatEq = &Analyzer{
 	Name: "floateq",
 	Doc:  "forbid ==/!= between floating-point operands outside epsilon helpers",

@@ -43,6 +43,12 @@ import (
 // Everything else that is amortized but does not fit those shapes (slab
 // doubling via make, first-use registration) carries a reasoned
 // //lint:ignore hotalloc suppression, tracked in the debt ledger.
+//
+// The ZeroAllocs tests do not make it redundant. Their alloc matrix
+// drives Pareto arrivals with exponential service (SERPT adds
+// lognormal), so an escaping new(float64) seeded into dist's
+// Erlang.Sample, Hyperexponential.Sample, Uniform.Sample or
+// (*Sequence).Sample fails hotalloc and no ZeroAllocs test.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "forbid allocating constructs in the call-graph closure of //sprint:hotpath roots",
@@ -335,7 +341,7 @@ func scanCallAllocs(pass *Pass, info *types.Info, call *ast.CallExpr, amort map[
 	// Known-allocating callees (fmt, log, errors, sort, ...).
 	if pass != nil {
 		name := calleeName(pass.Pkg, call)
-		if name != "" && matchesAnyGlob(pass.Cfg.hotAllocCallees(), name) {
+		if name != "" && matchesAnyGlob(hotAllocCallees, name) {
 			report(call.Pos(), "call to "+name+" allocates")
 			return
 		}
@@ -423,18 +429,9 @@ func isByteOrRuneSlice(t types.Type) bool {
 	return ok && (b.Kind() == types.Byte || b.Kind() == types.Rune || b.Kind() == types.Uint8 || b.Kind() == types.Int32)
 }
 
-// hotAllocCallees returns the configured known-allocating callee
-// patterns, defaulting when the config predates the analyzer.
-func (c *Config) hotAllocCallees() []string {
-	if len(c.HotAllocCallees) > 0 {
-		return c.HotAllocCallees
-	}
-	return defaultHotAllocCallees
-}
-
-// defaultHotAllocCallees are stdlib entry points that allocate on every
-// call; reaching one from a hot-path root is always a finding.
-var defaultHotAllocCallees = []string{
+// hotAllocCallees are stdlib entry points that allocate on every call;
+// reaching one from a hot-path root is always a finding.
+var hotAllocCallees = []string{
 	"fmt.*",
 	"log.*",
 	"errors.*",

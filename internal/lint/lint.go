@@ -4,10 +4,13 @@
 // sprint-rate calibration (Section 2.3) replays the simulator until it
 // matches observed response times, and the annealing search (Section 4)
 // assumes repeated evaluations are comparable. The analyzers here enforce
-// the invariants that keep that true — no wall-clock or global-RNG reads
-// in deterministic packages, no bare float equality, no silently dropped
-// errors — plus an exported-docs hygiene check. Lock copies are go vet's
-// copylocks check, which the merge gate already runs.
+// the invariants that keep that true — no wall-clock, global-RNG,
+// environment or map-order dependence in or reachable from deterministic
+// packages (detflow), no allocation on the simulator's hot path
+// (hotalloc), no bare float equality, no silently dropped errors — plus
+// goroutine-cancellation, pooled-slot, span-closing and exported-docs
+// checks. Lock copies are go vet's copylocks check, which the merge gate
+// already runs.
 //
 // The driver is stdlib-only (go/parser, go/ast, go/types): it loads every
 // package in the module, type-checks it, runs each analyzer, and reports
@@ -80,23 +83,13 @@ type Module struct {
 	hot     *hotallocFacts
 
 	detOnce sync.Once
-	det     *detflowFacts
+	det     map[*Node]*ReachedVia
 }
 
 // Graph returns the module's call graph, building it on first use.
 func (m *Module) Graph() *CallGraph {
 	m.graphOnce.Do(func() { m.graph = buildCallGraph(m.Pkgs) })
 	return m.graph
-}
-
-// pkgByRel resolves a module-relative package path, nil when absent.
-func (m *Module) pkgByRel(rel string) *Package {
-	for _, p := range m.Pkgs {
-		if p.Rel == rel {
-			return p
-		}
-	}
-	return nil
 }
 
 // Pass carries one analyzer's run over one package and collects its
@@ -145,7 +138,6 @@ type Analyzer struct {
 // the interprocedural, call-graph-aware analyzers.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		NonDeterm,
 		FloatEq,
 		ErrDrop,
 		ExportedDoc,
@@ -165,36 +157,6 @@ func AnalyzerByName(name string) *Analyzer {
 		}
 	}
 	return nil
-}
-
-// Run loads the module rooted at (or above) dir, runs the selected
-// analyzers (nil or empty means all) over every package, applies
-// //lint:ignore suppressions, and returns the surviving diagnostics
-// sorted by position. An error means the module could not be loaded or
-// type-checked — distinct from "diagnostics found". Packages are
-// analyzed in parallel; output order is deterministic (see RunModule).
-func Run(dir string, cfg *Config, only []string) ([]Diagnostic, error) {
-	res, err := RunModule(dir, RunOpts{Config: cfg, Only: only})
-	if err != nil {
-		return nil, err
-	}
-	return res.Diagnostics, nil
-}
-
-// matchesPkg reports whether a config entry (a module-relative package
-// path, "." for the root) names pkg.
-func matchesPkg(pkg *Package, entry string) bool {
-	return pkg.Rel == entry
-}
-
-// pkgMatchesAny reports whether any entry names pkg.
-func pkgMatchesAny(pkg *Package, entries []string) bool {
-	for _, e := range entries {
-		if matchesPkg(pkg, e) {
-			return true
-		}
-	}
-	return false
 }
 
 // funcDisplayName renders the module-relative name of fn used by the

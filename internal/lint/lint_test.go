@@ -10,16 +10,25 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata expect.txt files")
 
-// fixtureConfig treats each single-package fixture module as both a
-// deterministic package and a public-doc package, with empty allowlists,
-// so every analyzer is armed.
+// fixtureConfig treats each fixture module's root package as a
+// deterministic and a concurrency package, with empty allowlists, so
+// every analyzer is armed (exporteddoc always checks the root package).
 func fixtureConfig() *Config {
 	return &Config{
 		DeterministicPackages: []string{"."},
-		DocPackages:           []string{"."},
 		CtxPackages:           []string{"."},
 		PooledTypes:           []string{"query"},
 	}
+}
+
+// runFixture lints one fixture module under fixtureConfig.
+func runFixture(t *testing.T, name string, only ...string) []Diagnostic {
+	t.Helper()
+	res, err := RunModule(filepath.Join("testdata", "src", name), RunOpts{Config: fixtureConfig(), Only: only})
+	if err != nil {
+		t.Fatalf("RunModule(%s): %v", name, err)
+	}
+	return res.Diagnostics
 }
 
 // fixtureAnalyzers pins which analyzers may fire in each fixture. The
@@ -27,7 +36,6 @@ func fixtureConfig() *Config {
 // the test if an unrelated analyzer starts firing (or an expected one
 // stops), guarding against a blind `-update` regeneration.
 var fixtureAnalyzers = map[string][]string{
-	"nondeterm":   {"nondeterm"},
 	"floateq":     {"floateq"},
 	"errdrop":     {"errdrop"},
 	"exporteddoc": {"exporteddoc"},
@@ -64,10 +72,7 @@ func TestFixtures(t *testing.T) {
 				t.Fatalf("fixture %s has no fixtureAnalyzers entry", name)
 			}
 			dir := filepath.Join("testdata", "src", name)
-			diags, err := Run(dir, fixtureConfig(), nil)
-			if err != nil {
-				t.Fatalf("Run(%s): %v", dir, err)
-			}
+			diags := runFixture(t, name)
 			fired := map[string]bool{}
 			var sb strings.Builder
 			for _, d := range diags {
@@ -113,15 +118,14 @@ func TestFixtures(t *testing.T) {
 }
 
 func TestRunOnlyFilters(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "nondeterm")
-	diags, err := Run(dir, fixtureConfig(), []string{"floateq"})
-	if err != nil {
-		t.Fatal(err)
+	if diags := runFixture(t, "detflow", "floateq"); len(diags) != 0 {
+		t.Fatalf("floateq-only run over detflow fixture found %d diagnostics: %v", len(diags), diags)
 	}
-	if len(diags) != 0 {
-		t.Fatalf("floateq-only run over nondeterm fixture found %d diagnostics: %v", len(diags), diags)
+	if len(runFixture(t, "detflow", "detflow")) == 0 {
+		t.Fatal("detflow-only run over detflow fixture found nothing")
 	}
-	if _, err := Run(dir, fixtureConfig(), []string{"nope"}); err == nil {
+	dir := filepath.Join("testdata", "src", "detflow")
+	if _, err := RunModule(dir, RunOpts{Config: fixtureConfig(), Only: []string{"nope"}}); err == nil {
 		t.Fatal("unknown analyzer name did not error")
 	}
 }
@@ -133,16 +137,16 @@ func TestModuleClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
-	diags, err := Run(filepath.Join("..", ".."), nil, nil)
+	res, err := RunModule(filepath.Join("..", ".."), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range diags {
+	for _, d := range res.Diagnostics {
 		t.Errorf("module not lint-clean: %s", d)
 	}
 }
 
-// TestQueuesimUsesInjectedClock verifies — with the nondeterm analyzer
+// TestQueuesimUsesInjectedClock verifies — with the detflow analyzer
 // itself, before suppressions are applied — that the queue simulator no
 // longer reads the wall clock or global RNG directly.
 func TestQueuesimUsesInjectedClock(t *testing.T) {
@@ -153,14 +157,15 @@ func TestQueuesimUsesInjectedClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mod := &Module{Pkgs: pkgs}
 	found := false
 	for _, pkg := range pkgs {
 		if pkg.Rel != "internal/queuesim" {
 			continue
 		}
 		found = true
-		pass := &Pass{Analyzer: NonDeterm, Pkg: pkg, Cfg: DefaultConfig()}
-		NonDeterm.Run(pass)
+		pass := &Pass{Analyzer: DetFlow, Pkg: pkg, Mod: mod, Cfg: DefaultConfig()}
+		DetFlow.Run(pass)
 		for _, d := range pass.diags {
 			t.Errorf("queuesim nondeterminism (unsuppressable): %s", d)
 		}

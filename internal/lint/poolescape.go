@@ -17,7 +17,9 @@ import (
 // type, any function literal whose free variables include a value of that
 // type (or a pointer to it) is flagged; pass the int32 pool index into
 // the closure instead, or carry the engine/runner and resolve the index
-// at call time.
+// at call time. No other gate sees this: a closure over the arriving
+// *query, seeded into queuesim's arrival handler, passes go vet, the
+// race-enabled tests and the ZeroAllocs tests (it does not escape).
 var PoolEscape = &Analyzer{
 	Name: "poolescape",
 	Doc:  "forbid closures capturing pooled slab objects; capture the pool index instead",
@@ -76,7 +78,7 @@ func pooledTypesFor(pass *Pass) map[*types.Named]string {
 		if i := strings.LastIndex(entry, "."); i >= 0 {
 			pkgRel, typeName = entry[:i], entry[i+1:]
 		}
-		if !matchesPkg(pass.Pkg, pkgRel) {
+		if pass.Pkg.Rel != pkgRel {
 			continue
 		}
 		obj, ok := pass.Pkg.Types.Scope().Lookup(typeName).(*types.TypeName)

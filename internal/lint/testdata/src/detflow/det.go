@@ -1,11 +1,14 @@
-// Package detflow is the deterministic root of the taint fixture: it
-// contains no nondeterminism of its own (nondeterm would catch that),
-// but every exported entry point leans on the impure subpackage, and the
-// interprocedural analyzer must report each source there with the chain
-// back to the entry point.
+// Package detflow is the deterministic root of the taint fixture. Its
+// entry points lean on the impure subpackage, and the analyzer must
+// report each source there with the chain back to the entry point. The
+// package's own sources (local.go, process.go) are reported in place,
+// with a fix-it hint and no chain.
 package detflow
 
-import "fixture/impure"
+import (
+	"fixture/impure"
+	"fixture/internal/obs"
+)
 
 // Plan derives one deterministic plan through impure helpers.
 func Plan() float64 {
@@ -23,4 +26,11 @@ func Plan() float64 {
 		return 0
 	}
 	return impure.Stamp() + impure.Jitter()
+}
+
+// Timed measures a plan through the injected clock. The built-in
+// barriers stop at obs.ClockOr and the Clock implementations; obs.Elapsed
+// is not one of them.
+func Timed(c obs.Clock) float64 {
+	return obs.Elapsed(obs.ClockOr(c).Now())
 }

@@ -54,9 +54,9 @@ func Spawn() {
 	<-done
 }
 
-// Clock reads the wall clock; the barrier unit test exempts this node by
-// name (DetflowAllow) the way the real module exempts obs.Clock
-// implementations.
+// Clock reads the wall clock outside the injected obs.Clock: unlike the
+// barrier nodes in internal/obs, it is reported even though its name
+// says clock.
 func Clock() time.Time {
 	return time.Now()
 }

@@ -1,7 +1,7 @@
-// Package nondeterm violates every simulator-determinism rule: it reads
-// the wall clock, draws from the global math/rand source, and iterates a
-// map.
-package nondeterm
+// In-package sources: the wall clock, the global math/rand source and a
+// map range, each at its own line and column.
+
+package detflow
 
 import (
 	"math/rand"

@@ -6,7 +6,7 @@ import (
 )
 
 // Clock abstracts wall-clock reads so deterministic packages never call
-// time.Now directly (the nondeterm analyzer forbids it there). The queue
+// time.Now directly (the detflow analyzer forbids it there). The queue
 // simulator's event loop runs on virtual time; the only real-time reads
 // it needs are for run-duration metrics, and those flow through an
 // injectable Clock so measured regions are reproducible under test.

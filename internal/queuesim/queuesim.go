@@ -104,7 +104,7 @@ type Params struct {
 	// Clock times the run for the flushed metrics (run seconds, event
 	// rate). Simulation itself runs on virtual time and never reads it;
 	// nil uses the real clock. Inject obs.ManualClock to keep measured
-	// regions reproducible (the nondeterm analyzer forbids bare
+	// regions reproducible (the detflow analyzer forbids bare
 	// time.Now in this package).
 	Clock obs.Clock
 }

@@ -22,7 +22,7 @@
 //     are single-flight: concurrent requests for one key run it once.
 //
 // Because the simulator is a deterministic function of its canonicalized
-// parameters (enforced by sprintlint's nondeterm analyzer and the
+// parameters (enforced by sprintlint's detflow analyzer and the
 // differential tests in this package), memoization is semantically
 // invisible: a cached sweep reproduces an uncached sweep exactly.
 package sweep
