@@ -35,6 +35,9 @@ func TestDisciplineSweepQuick(t *testing.T) {
 	if srptRT > fifoRT*1.10 {
 		t.Fatalf("optimized srpt RT %.4f much worse than fifo %.4f", srptRT, fifoRT)
 	}
+	var d resultDigest
+	d.disciplines(res)
+	d.check(t, "discipline sweep", 0x40671f45ec604304)
 
 	tbl := res.Table()
 	if len(tbl.Rows) != len(res.Outcomes) {

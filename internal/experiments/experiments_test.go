@@ -91,6 +91,9 @@ func TestFig7HybridWins(t *testing.T) {
 	if math.IsNaN(annMore) {
 		t.Fatal("ANN+more data missing")
 	}
+	var d resultDigest
+	d.fig7(r)
+	d.check(t, "Figure 7", 0xa54ee09694af3660)
 	_ = r.Table().String()
 }
 
@@ -117,6 +120,10 @@ func TestFig8SeriesShape(t *testing.T) {
 	if len(b.Series) != len(a.Series) {
 		t.Fatal("Fig8B series count mismatch")
 	}
+	var d resultDigest
+	d.fig8(a)
+	d.fig8(b)
+	d.check(t, "Figure 8A/8B", 0xb42102263692f896)
 	_ = a.Table().String()
 	_ = b.Table().String()
 }

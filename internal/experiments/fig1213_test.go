@@ -31,6 +31,9 @@ func TestFig12ATimeoutStudy(t *testing.T) {
 	if r.SLO <= 0 {
 		t.Fatal("missing SLO reference")
 	}
+	var d resultDigest
+	d.fig12A(r)
+	d.check(t, "Figure 12A", 0x642149465e825a5a)
 	_ = r.Table().String()
 }
 
@@ -50,6 +53,9 @@ func TestFig12CBudgetTimeoutInteraction(t *testing.T) {
 			t.Errorf("timeout %v: RT rose with budget (%v -> %v)", r.Timeouts[ti], first, last)
 		}
 	}
+	var d resultDigest
+	d.fig12C(r)
+	d.check(t, "Figure 12C", 0xfbb9290534fb4f23)
 	_ = r.Table().String()
 }
 
@@ -128,6 +134,9 @@ func TestAblations(t *testing.T) {
 	if len(r.ForestConfigs) != 5 {
 		t.Fatalf("got %d forest configs", len(r.ForestConfigs))
 	}
+	var d resultDigest
+	d.ablations(r)
+	d.check(t, "ablations accuracy", 0x48ded87795f34bba)
 	_ = r.Table().String()
 }
 
@@ -142,5 +151,8 @@ func TestTailAccuracy(t *testing.T) {
 	if r.MeanMedErr > 0.25 || r.P95MedErr > 0.4 || r.P99MedErr > 0.5 {
 		t.Fatalf("tail accuracy off: mean %v p95 %v p99 %v", r.MeanMedErr, r.P95MedErr, r.P99MedErr)
 	}
+	var d resultDigest
+	d.tailAccuracy(r)
+	d.check(t, "tail accuracy", 0x9ad3061a6792c8be)
 	_ = r.Table().String()
 }
