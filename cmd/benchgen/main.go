@@ -1,6 +1,9 @@
 // Command benchgen regenerates every table and figure of the paper's
 // evaluation and writes the formatted results to stdout (and optionally a
-// file). This is the tool behind EXPERIMENTS.md.
+// file). This is the tool behind EXPERIMENTS.md. Everything that depends
+// on the host — per-step and total wall times, the ablation study's
+// timing table — goes to stderr, so stdout from two commits diffs clean
+// when their results agree.
 //
 // Usage:
 //
@@ -101,6 +104,7 @@ func steps() []step {
 		}},
 		{"ablations", func(l *experiments.Lab) (experiments.Table, error) {
 			r, err := experiments.Ablations(l)
+			fmt.Fprintf(os.Stderr, "%s\n", r.TimingTable())
 			return r.Table(), err
 		}},
 		{"disciplines", func(l *experiments.Lab) (experiments.Table, error) {
@@ -162,7 +166,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchgen: %s failed: %v\n", s.name, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(out, "%s[%s took %s]\n\n", tab.String(), s.name, time.Since(stepStart).Round(time.Millisecond))
+		fmt.Fprintf(out, "%s\n", tab.String())
+		fmt.Fprintf(os.Stderr, "[%s took %s]\n", s.name, time.Since(stepStart).Round(time.Millisecond))
 	}
-	fmt.Fprintf(out, "total: %s\n", time.Since(start).Round(time.Second))
+	fmt.Fprintf(os.Stderr, "total: %s\n", time.Since(start).Round(time.Second))
 }
