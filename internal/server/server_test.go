@@ -337,25 +337,38 @@ func TestReloadCarriesStateWithoutDroppingRequests(t *testing.T) {
 	demBefore, _ := tn.fc.Counts()
 	chainBefore := tn.ledger.Chain()
 
-	// Concurrent decides throughout the reload: none may be dropped
-	// (shed with retry is allowed for the retired tenant only).
+	// Concurrent decides over HTTP throughout the reload: none may be
+	// dropped. A decide that lands on the instance the swap retires is
+	// answered with a retryable 503, which the client retries against
+	// the new instance; any error the client returns fails the test.
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	c := &Client{BaseURL: srv.URL}
 	stop := make(chan struct{})
+	decided := make(chan struct{})
 	errc := make(chan error, 1)
 	go func() {
 		defer close(errc)
-		for {
+		for n := 0; ; n++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			cur, _ := s.lookup("keep")
-			if _, _, err := cur.Decide(context.Background(), 0.55); err != nil {
+			if _, err := c.Decide(context.Background(), "keep", 0.55); err != nil {
 				errc <- err
 				return
 			}
+			if n == 0 {
+				close(decided)
+			}
 		}
 	}()
+	select {
+	case <-decided:
+	case err := <-errc:
+		t.Fatalf("decide failed before reload: %v", err)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
