@@ -47,7 +47,7 @@ type Options struct {
 	StepQPH  float64
 	// Seed fixes the common random numbers.
 	Seed uint64
-	// Workers bounds CalibrateDataset concurrency (default NumCPU).
+	// Workers bounds CalibrateDatasetCtx concurrency (default NumCPU).
 	Workers int
 	// Engine evaluates the simulator; nil uses sweep.Shared(), so
 	// repeated bracket/bisection points — and whole re-calibrations of a
@@ -343,17 +343,6 @@ func stepSearch(eval func(float64) float64, mu, mum, target float64, o Options) 
 	return best, bestRT
 }
 
-// CalibrateDataset computes one Record per observation, in parallel.
-func CalibrateDataset(ds *profiler.Dataset, obs []profiler.Observation, opts Options) []Record {
-	recs, err := CalibrateDatasetCtx(context.Background(), ds, obs, opts)
-	if err != nil {
-		// Unreachable: the only error source is the context, and
-		// Background is never done.
-		panic(err.Error())
-	}
-	return recs
-}
-
 // startCtxSpan starts a span from ctx. A package-level wrapper because
 // the calibration entry points shadow the obs import with their
 // observation parameters.
@@ -361,9 +350,10 @@ func startCtxSpan(ctx context.Context, name string) *obs.Span {
 	return obs.StartSpanCtx(ctx, name)
 }
 
-// CalibrateDatasetCtx is CalibrateDataset honoring cancellation: once
-// ctx is done, queued records are abandoned and ctx's error is
-// returned (records already simulating finish their point).
+// CalibrateDatasetCtx computes one Record per observation, in parallel,
+// honoring cancellation: once ctx is done, queued records are abandoned
+// and ctx's error is returned (records already simulating finish their
+// point). A nil ctx never cancels.
 func CalibrateDatasetCtx(ctx context.Context, ds *profiler.Dataset, obs []profiler.Observation, opts Options) ([]Record, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -1,6 +1,7 @@
 package calib
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -101,8 +102,14 @@ func TestCalibrateDatasetParallelDeterministic(t *testing.T) {
 	o1.Workers = 1
 	o4 := fastOpts
 	o4.Workers = 4
-	a := CalibrateDataset(ds, ds.Observations, o1)
-	b := CalibrateDataset(ds, ds.Observations, o4)
+	a, err := CalibrateDatasetCtx(context.Background(), ds, ds.Observations, o1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := CalibrateDatasetCtx(context.Background(), ds, ds.Observations, o4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(a) != len(conds) {
 		t.Fatalf("got %d records", len(a))
 	}

@@ -85,18 +85,22 @@ func TestCalibrateDatasetCtxCancellation(t *testing.T) {
 	if recs != nil {
 		t.Fatalf("canceled calibration returned records: %v", recs)
 	}
-	// The uncanceled ctx path matches the legacy API.
+	// An uncanceled ctx and a nil ctx (which never cancels) calibrate
+	// every record identically.
 	a, err := CalibrateDatasetCtx(context.Background(), ds, ds.Observations, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := CalibrateDataset(ds, ds.Observations, o)
-	if len(a) != len(b) {
+	b, err := CalibrateDatasetCtx(nil, ds, ds.Observations, o) //nolint:staticcheck // nil ctx tolerance is part of the contract
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a) != len(b) || len(a) != len(ds.Observations) {
 		t.Fatalf("record counts differ: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
 		if a[i].EffectiveRate < b[i].EffectiveRate || a[i].EffectiveRate > b[i].EffectiveRate {
-			t.Fatalf("record %d differs between ctx and legacy paths", i)
+			t.Fatalf("record %d differs between background and nil ctx", i)
 		}
 	}
 }

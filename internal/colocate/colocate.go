@@ -1,6 +1,7 @@
 // Package colocate implements Section 4.4: packing workloads onto
 // burstable instances (AWS T2-style CPU throttling) under response-time
-// SLOs, and comparing revenue per node across sprinting policies:
+// SLOs, and comparing how many workloads one node hosts across
+// sprinting policies:
 //
 //   - AWS: every workload gets the fixed published policy — 20% of a
 //     core sustained, 5x sprint rate, 720 sprint-seconds per hour;
@@ -11,7 +12,9 @@
 // A workload whose policy cannot meet its SLO does not colocate: it runs
 // on a dedicated node (the paper's "essentially making the server a
 // dedicated host"). Nodes never oversubscribe: the sum of sustained
-// shares plus expected sprint surplus stays within one CPU.
+// shares plus expected sprint surplus stays within one CPU. Plans are
+// scored by SimEstimator on the sweep engine; the planners hand it
+// candidate plans in chunks, each chunk one sweep batch.
 package colocate
 
 import (
@@ -117,26 +120,10 @@ func (p Plan) String() string {
 		p.Fraction*100, p.Speedup, p.BudgetPct*100, p.Timeout, p.CPUCommitment())
 }
 
-// RTEstimator predicts a workload's mean response time under a plan.
-// Production use wires the model-driven estimator; tests may substitute
-// closed forms.
-type RTEstimator interface {
-	MeanRT(w Workload, p Plan) float64
-	// BaselineRT is the unthrottled response time the SLO references.
-	BaselineRT(w Workload) float64
-}
-
-// BatchRTEstimator is an RTEstimator that can score many plans in one
-// call. Planners use it to hand whole candidate chunks to the sweep
-// engine, which shards the simulations and memoizes re-scored plans.
-type BatchRTEstimator interface {
-	RTEstimator
-	MeanRTs(w Workload, plans []Plan) []float64
-}
-
 // SimEstimator estimates response times with the timeout-aware queue
 // simulator, using the class's service model at the plan's throttled
-// rate — the model-driven path of Section 4.4.
+// rate — the model-driven path of Section 4.4. Planners hand it whole
+// candidate chunks, which the sweep engine shards and memoizes.
 type SimEstimator struct {
 	SimQueries int
 	SimReps    int
@@ -197,20 +184,6 @@ func (e SimEstimator) MeanRTs(w Workload, plans []Plan) []float64 {
 	return rts
 }
 
-// meanRTs batch-scores plans through a BatchRTEstimator, falling back to
-// serial MeanRT calls — the results are identical either way; only
-// sharding and memoization differ.
-func meanRTs(est RTEstimator, w Workload, plans []Plan) []float64 {
-	if be, ok := est.(BatchRTEstimator); ok {
-		return be.MeanRTs(w, plans)
-	}
-	out := make([]float64, len(plans))
-	for i, p := range plans {
-		out[i] = est.MeanRT(w, p)
-	}
-	return out
-}
-
 // scoreChunk is how many candidate plans the planners score per batch:
 // enough to keep a worker pool busy, small enough to bound the work
 // evaluated past the first (cheapest) SLO-meeting plan.
@@ -223,7 +196,7 @@ func (e SimEstimator) BaselineRT(w Workload) float64 {
 
 // MeetsSLO reports whether the plan keeps the workload within SLOFactor
 // of its unthrottled response time.
-func MeetsSLO(w Workload, p Plan, est RTEstimator) bool {
+func MeetsSLO(w Workload, p Plan, est SimEstimator) bool {
 	if p.Dedicated {
 		return true
 	}
@@ -236,7 +209,7 @@ type Planner func(w Workload) (Plan, bool)
 
 // AWSPlanner applies the fixed policy, falling back to a dedicated node
 // when it violates the SLO.
-func AWSPlanner(est RTEstimator) Planner {
+func AWSPlanner(est SimEstimator) Planner {
 	return func(w Workload) (Plan, bool) {
 		p := AWSPlan()
 		if MeetsSLO(w, p, est) {
@@ -292,7 +265,7 @@ func candidates(w Workload, refills []float64) []Plan {
 // enlarge the sprint rate by shrinking the sustained share, searching for
 // the cheapest (fraction, budget) combination that meets the SLO within
 // AWS's hourly budget window. Timeout stays 0 — every query sprints.
-func BudgetPlanner(est RTEstimator, refill float64) Planner {
+func BudgetPlanner(est SimEstimator, refill float64) Planner {
 	if refill <= 0 {
 		refill = AWSRefill
 	}
@@ -304,7 +277,7 @@ func BudgetPlanner(est RTEstimator, refill float64) Planner {
 			if end > len(cands) {
 				end = len(cands)
 			}
-			rts := meanRTs(est, w, cands[i:end])
+			rts := est.MeanRTs(w, cands[i:end])
 			for j, rt := range rts {
 				if rt <= SLOFactor*base {
 					return cands[i+j], true
@@ -320,7 +293,7 @@ func BudgetPlanner(est RTEstimator, refill float64) Planner {
 // (annealed per Section 4.2) and budget windows — uncovering plans that
 // meet the SLO at lower CPU commitments than any timeout-0, hourly-window
 // policy.
-func SprintPlanner(est RTEstimator, annealIter int, seed uint64) Planner {
+func SprintPlanner(est SimEstimator, annealIter int, seed uint64) Planner {
 	if annealIter == 0 {
 		annealIter = 40
 	}
@@ -334,7 +307,7 @@ func SprintPlanner(est RTEstimator, annealIter int, seed uint64) Planner {
 			if end > len(cands) {
 				end = len(cands)
 			}
-			rts := meanRTs(est, w, cands[i:end])
+			rts := est.MeanRTs(w, cands[i:end])
 			for j, rt0 := range rts {
 				p := cands[i+j]
 				if rt0 <= slo {
@@ -355,7 +328,7 @@ func SprintPlanner(est RTEstimator, annealIter int, seed uint64) Planner {
 						variants[k] = p
 						variants[k].Timeout = to
 					}
-					return meanRTs(est, w, variants), nil
+					return est.MeanRTs(w, variants), nil
 				}, 0, maxTO, explore.BatchOptions{Options: explore.Options{MaxIter: annealIter, Seed: seed}})
 				if err != nil {
 					// Unreachable: the objective never errs and the

@@ -256,7 +256,7 @@ func simulateAll(ctx context.Context, e *sweep.Engine, est *tier.Estimator, ds *
 		}
 		sp.SetInt("tier_cheap", cheap)
 	} else {
-		preds, err = sweep.Or(e).EvaluateAllCtx(obs.ContextWithSpan(ctx, sp), tasks)
+		preds, err = sweep.Or(e).EvaluateAll(obs.ContextWithSpan(ctx, sp), tasks)
 	}
 	sp.SetError(err)
 	sp.End()
@@ -294,85 +294,59 @@ type Evaluation struct {
 
 // BatchModel is a Model that can score many scenarios in one call —
 // simulator-backed models implement it by handing the batch to the sweep
-// engine, which shards the evaluations and memoizes repeats.
+// engine, which shards the evaluations and memoizes repeats. The batch
+// honors the context (cancellation and span tracing).
 type BatchModel interface {
 	Model
-	PredictAll(ds *profiler.Dataset, scs []Scenario) ([]Prediction, error)
-}
-
-// BatchCtxModel is a BatchModel whose batch predictions honor a context
-// (cancellation and span tracing).
-type BatchCtxModel interface {
-	BatchModel
 	PredictAllCtx(ctx context.Context, ds *profiler.Dataset, scs []Scenario) ([]Prediction, error)
 }
 
 // Evaluate predicts every observation's condition and collects absolute
 // relative errors, the metric of Figures 7-10. Models implementing
 // BatchModel are scored as one sweep; others fall back to serial
-// Predict calls (the two paths are bit-identical — see the sweep
-// engine's determinism contract).
-func Evaluate(m Model, ds *profiler.Dataset, obs []profiler.Observation) (Evaluation, error) {
-	return EvaluateCtx(context.Background(), m, ds, obs)
-}
-
-// EvaluateCtx is Evaluate honoring cancellation and span tracing: the
-// whole evaluation is one "core.evaluate" span, and context-aware
-// models nest their prediction spans under it.
-func EvaluateCtx(ctx context.Context, m Model, ds *profiler.Dataset, observations []profiler.Observation) (Evaluation, error) {
-	sp := obs.StartSpanCtx(ctx, "core.evaluate")
+// predictions (the two paths are bit-identical — see the sweep engine's
+// determinism contract). The whole evaluation is one "core.evaluate"
+// span, and context-aware models nest their prediction spans under it.
+func Evaluate(m Model, ds *profiler.Dataset, observations []profiler.Observation) (ev Evaluation, err error) {
+	sp := obs.StartSpanCtx(context.Background(), "core.evaluate")
 	sp.SetString("model", m.Name())
 	sp.SetInt("observations", int64(len(observations)))
-	ctx = obs.ContextWithSpan(ctx, sp)
-	ev, err := evaluate(ctx, m, ds, observations)
-	sp.SetError(err)
-	sp.End()
-	return ev, err
-}
-
-// evaluate is EvaluateCtx's body.
-func evaluate(ctx context.Context, m Model, ds *profiler.Dataset, obs []profiler.Observation) (Evaluation, error) {
-	ev := Evaluation{
-		Predicted: make([]float64, 0, len(obs)),
-		Observed:  make([]float64, 0, len(obs)),
-		Errors:    make([]float64, 0, len(obs)),
+	ctx := obs.ContextWithSpan(context.Background(), sp)
+	defer func() {
+		sp.SetError(err)
+		sp.End()
+	}()
+	scs := make([]Scenario, len(observations))
+	for i, o := range observations {
+		scs[i] = Scenario{Cond: o.Cond, ArrivalRate: o.ArrivalRate}
 	}
-	preds := make([]Prediction, 0, len(obs))
+	var preds []Prediction
 	if bm, ok := m.(BatchModel); ok {
-		scs := make([]Scenario, len(obs))
-		for i, o := range obs {
-			scs[i] = Scenario{Cond: o.Cond, ArrivalRate: o.ArrivalRate}
-		}
-		var batch []Prediction
-		var err error
-		if bcm, ok := bm.(BatchCtxModel); ok {
-			batch, err = bcm.PredictAllCtx(ctx, ds, scs)
-		} else {
-			batch, err = bm.PredictAll(ds, scs)
-		}
-		if err != nil {
+		if preds, err = bm.PredictAllCtx(ctx, ds, scs); err != nil {
 			return Evaluation{}, fmt.Errorf("core: evaluating batch: %w", err)
 		}
-		preds = batch
 	} else {
-		for _, o := range obs {
-			var pred Prediction
-			var err error
+		preds = make([]Prediction, len(scs))
+		for i, sc := range scs {
 			if cm, ok := m.(CtxModel); ok {
-				pred, err = cm.PredictCtx(ctx, ds, Scenario{Cond: o.Cond, ArrivalRate: o.ArrivalRate})
+				preds[i], err = cm.PredictCtx(ctx, ds, sc)
 			} else {
-				pred, err = m.Predict(ds, Scenario{Cond: o.Cond, ArrivalRate: o.ArrivalRate})
+				preds[i], err = m.Predict(ds, sc)
 			}
 			if err != nil {
-				return Evaluation{}, fmt.Errorf("core: evaluating %s: %w", o.Cond, err)
+				return Evaluation{}, fmt.Errorf("core: evaluating %s: %w", sc.Cond, err)
 			}
-			preds = append(preds, pred)
 		}
 	}
-	for i, o := range obs {
-		ev.Predicted = append(ev.Predicted, preds[i].MeanRT)
-		ev.Observed = append(ev.Observed, o.MeanRT)
-		ev.Errors = append(ev.Errors, math.Abs(preds[i].MeanRT-o.MeanRT)/o.MeanRT)
+	ev = Evaluation{
+		Predicted: make([]float64, len(observations)),
+		Observed:  make([]float64, len(observations)),
+		Errors:    make([]float64, len(observations)),
+	}
+	for i, o := range observations {
+		ev.Predicted[i] = preds[i].MeanRT
+		ev.Observed[i] = o.MeanRT
+		ev.Errors[i] = math.Abs(preds[i].MeanRT-o.MeanRT) / o.MeanRT
 	}
 	return ev, nil
 }
@@ -474,12 +448,8 @@ func (n *NoML) PredictCtx(ctx context.Context, ds *profiler.Dataset, sc Scenario
 	return simulate(ctx, n.resolveEngine(), n.Tiers, ds, sc, conditionMarginal(ds, sc.Cond), queries, reps, n.Seed, n.Tracer)
 }
 
-// PredictAll scores a batch of scenarios as one sweep.
-func (n *NoML) PredictAll(ds *profiler.Dataset, scs []Scenario) ([]Prediction, error) {
-	return n.PredictAllCtx(context.Background(), ds, scs)
-}
-
-// PredictAllCtx is PredictAll honoring cancellation and span tracing.
+// PredictAllCtx scores a batch of scenarios as one sweep, honoring
+// cancellation and span tracing.
 func (n *NoML) PredictAllCtx(ctx context.Context, ds *profiler.Dataset, scs []Scenario) ([]Prediction, error) {
 	queries, reps := n.simSizes()
 	rates := make([]float64, len(scs))
@@ -665,14 +635,10 @@ func (h *Hybrid) PredictCtx(ctx context.Context, ds *profiler.Dataset, sc Scenar
 	return simulate(ctx, h.engine, h.tiers, ds, sc, h.EffectiveRate(ds, sc), h.simQueries, h.simReps, h.seed, h.tracer)
 }
 
-// PredictAll runs the pipeline for a batch of scenarios as one sweep:
-// the forest prices every scenario's effective rate up front, then the
-// engine shards (and memoizes) the queue simulations.
-func (h *Hybrid) PredictAll(ds *profiler.Dataset, scs []Scenario) ([]Prediction, error) {
-	return h.PredictAllCtx(context.Background(), ds, scs)
-}
-
-// PredictAllCtx is PredictAll honoring cancellation and span tracing.
+// PredictAllCtx runs the pipeline for a batch of scenarios as one
+// sweep, honoring cancellation and span tracing: the forest prices every
+// scenario's effective rate up front, then the engine shards (and
+// memoizes) the queue simulations.
 func (h *Hybrid) PredictAllCtx(ctx context.Context, ds *profiler.Dataset, scs []Scenario) ([]Prediction, error) {
 	rates := make([]float64, len(scs))
 	for i, sc := range scs {

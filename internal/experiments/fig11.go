@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -101,7 +102,7 @@ func Fig11(lab *Lab) Fig11Result {
 				// many-worker batch would pay for.
 				runtime.GC()
 				start := time.Now()
-				if _, err := eng.EvaluateAll(tasks); err != nil {
+				if _, err := eng.EvaluateAll(context.Background(), tasks); err != nil {
 					panic(err)
 				}
 				elapsed[i] = math.Min(elapsed[i], time.Since(start).Minutes())

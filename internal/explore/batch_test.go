@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// batchOf adapts a scalar objective for MinimizeBatch tests.
+// batchOf adapts a scalar objective for MinimizeBatchCtx tests.
 func batchOf(f func([]float64) float64) BatchObjective {
 	return func(pts [][]float64) ([]float64, error) {
 		out := make([]float64, len(pts))
@@ -46,7 +46,7 @@ func TestMinimizeBatchCohortInvariance(t *testing.T) {
 		Hi:            []float64{10, 10},
 		NeighborRange: []float64{2, 2},
 	}
-	base, err := MinimizeBatch(quad, space, BatchOptions{Cohort: 1, Options: Options{MaxIter: 400, Seed: 9}})
+	base, err := MinimizeBatchCtx(context.Background(), quad, space, BatchOptions{Cohort: 1, Options: Options{MaxIter: 400, Seed: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestMinimizeBatchCohortInvariance(t *testing.T) {
 		t.Fatalf("batched search missed the quadratic minimum: %v", base.Point)
 	}
 	for _, cohort := range []int{4, 16} {
-		got, err := MinimizeBatch(quad, space, BatchOptions{Cohort: cohort, Options: Options{MaxIter: 400, Seed: 9}})
+		got, err := MinimizeBatchCtx(context.Background(), quad, space, BatchOptions{Cohort: cohort, Options: Options{MaxIter: 400, Seed: 9}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,13 +85,13 @@ func TestMinimizeBatchCohortInvariance(t *testing.T) {
 // shape mismatches.
 func TestMinimizeBatchObjectiveErrors(t *testing.T) {
 	space := Space{Lo: []float64{0}, Hi: []float64{1}, NeighborRange: []float64{1}}
-	_, err := MinimizeBatch(func([][]float64) ([]float64, error) {
+	_, err := MinimizeBatchCtx(context.Background(), func([][]float64) ([]float64, error) {
 		return nil, errSentinel
 	}, space, BatchOptions{Options: Options{MaxIter: 10, Seed: 1}})
 	if err == nil {
 		t.Fatal("objective error must fail the search")
 	}
-	_, err = MinimizeBatch(func(pts [][]float64) ([]float64, error) {
+	_, err = MinimizeBatchCtx(context.Background(), func(pts [][]float64) ([]float64, error) {
 		return make([]float64, len(pts)+1), nil
 	}, space, BatchOptions{Options: Options{MaxIter: 10, Seed: 1}})
 	if err == nil {
@@ -161,7 +161,7 @@ func TestMinimizeBoundaryClampRejected(t *testing.T) {
 	// legitimately leave the bound and return, but never step in place.
 	assertNoPhantomSteps(t, res.Trace)
 	// The batched annealer applies the same rule.
-	bres, err := MinimizeBatch(batchOf(func(p []float64) float64 { return -p[0] }), space,
+	bres, err := MinimizeBatchCtx(context.Background(), batchOf(func(p []float64) float64 { return -p[0] }), space,
 		BatchOptions{Cohort: 8, Options: Options{MaxIter: 500, Seed: 2}})
 	if err != nil {
 		t.Fatal(err)

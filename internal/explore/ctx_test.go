@@ -44,21 +44,26 @@ func TestMinimizeBatchCtxCancelMidSearch(t *testing.T) {
 	}
 }
 
-func TestMinimizeBatchCtxBackgroundMatchesLegacy(t *testing.T) {
-	// The ctx variant with a background context is the same search.
+func TestMinimizeBatchCtxLiveContextMatchesBackground(t *testing.T) {
+	// A cancelable context that is never canceled, and a nil context,
+	// walk the same trajectory as a background context.
 	quad := batchOf(func(p []float64) float64 { return (p[0] - 2) * (p[0] - 2) })
 	space := Space{Lo: []float64{-5}, Hi: []float64{5}, NeighborRange: []float64{1}}
 	opts := BatchOptions{Cohort: 4, Options: Options{MaxIter: 200, Seed: 17}}
-	a, err := MinimizeBatch(quad, space, opts)
+	a, err := MinimizeBatchCtx(context.Background(), quad, space, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MinimizeBatchCtx(context.Background(), quad, space, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameTrace(a.Trace, b.Trace) {
-		t.Fatal("ctx variant perturbed the annealing trajectory")
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, ctx := range []context.Context{live, nil} {
+		b, err := MinimizeBatchCtx(ctx, quad, space, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameTrace(a.Trace, b.Trace) {
+			t.Fatal("the context perturbed the annealing trajectory")
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ package policies
 // no-sprint point instead.
 
 import (
+	"context"
 	"fmt"
 
 	"mdsprint/internal/explore"
@@ -73,21 +74,10 @@ func JointSearch(c Context, candidates []JointCandidate, opts explore.BatchOptio
 
 		if cand.Discipline.Kind == queuesim.DiscPS {
 			// No timeout knob: score the fixed no-sprint point.
-			task := sweep.Task{
+			mean, err := ctx.meanRT(sweep.Task{
 				Params: simParams(ctx, -1, 0, 0),
 				Reps:   ctx.SimReps,
-			}
-			var (
-				mean float64
-				err  error
-			)
-			if cc.Tiers != nil {
-				mean, _, err = cc.Tiers.MeanRT(task)
-			} else {
-				var pred queuesim.Prediction
-				pred, err = eng.Evaluate(task)
-				mean = pred.MeanRT
-			}
+			})
 			if err != nil {
 				return nil, -1, fmt.Errorf("policies: %s: %w", cand.Label(), err)
 			}
@@ -118,7 +108,7 @@ func JointSearch(c Context, candidates []JointCandidate, opts explore.BatchOptio
 			Hi:            []float64{maxTO},
 			NeighborRange: []float64{maxTO / 8},
 		}
-		res, err := explore.MinimizeBatch(obj, space, opts)
+		res, err := explore.MinimizeBatchCtx(context.Background(), obj, space, opts)
 		if err != nil {
 			return nil, -1, fmt.Errorf("policies: %s: %w", cand.Label(), err)
 		}

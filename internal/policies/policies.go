@@ -214,20 +214,23 @@ func ExpectedRT(c Context, s Setting, sprintRate float64) float64 {
 			rate = cap
 		}
 	}
-	task := sweep.Task{
+	mean, err := cc.meanRT(sweep.Task{
 		Params: simParams(cc, s.Timeout, s.BudgetPct, rate),
 		Reps:   cc.SimReps,
-	}
-	if cc.Tiers != nil {
-		mean, _, err := cc.Tiers.MeanRT(task)
-		if err != nil {
-			panic(fmt.Sprintf("policies: %v", err))
-		}
-		return mean
-	}
-	pred, err := sweep.Or(cc.Engine).Evaluate(task)
+	})
 	if err != nil {
 		panic(fmt.Sprintf("policies: %v", err))
 	}
-	return pred.MeanRT
+	return mean
+}
+
+// meanRT scores one task through the tier estimator when the context
+// sets one, else through the sweep engine.
+func (c Context) meanRT(task sweep.Task) (float64, error) {
+	if c.Tiers != nil {
+		mean, _, err := c.Tiers.MeanRT(task)
+		return mean, err
+	}
+	pred, err := sweep.Or(c.Engine).Evaluate(task)
+	return pred.MeanRT, err
 }

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"testing"
 
 	"mdsprint/internal/dist"
@@ -18,7 +19,7 @@ func BenchmarkSweepSerial(b *testing.B) {
 	tasks := benchGrid()
 	for i := 0; i < b.N; i++ {
 		e := New(Options{Workers: 1, CacheSize: -1, Metrics: obs.NewRegistry()})
-		if _, err := e.EvaluateAll(tasks); err != nil {
+		if _, err := e.EvaluateAll(context.Background(), tasks); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -31,7 +32,7 @@ func BenchmarkSweepSharded(b *testing.B) {
 	tasks := benchGrid()
 	for i := 0; i < b.N; i++ {
 		e := New(Options{Workers: 4, CacheSize: -1, Metrics: obs.NewRegistry()})
-		if _, err := e.EvaluateAll(tasks); err != nil {
+		if _, err := e.EvaluateAll(context.Background(), tasks); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -43,12 +44,12 @@ func BenchmarkSweepSharded(b *testing.B) {
 func BenchmarkSweepCached(b *testing.B) {
 	tasks := benchGrid()
 	e := New(Options{Workers: 4, Metrics: obs.NewRegistry()})
-	if _, err := e.EvaluateAll(tasks); err != nil {
+	if _, err := e.EvaluateAll(context.Background(), tasks); err != nil {
 		b.Fatal(err) // warm the cache outside the timed region
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.EvaluateAll(tasks); err != nil {
+		if _, err := e.EvaluateAll(context.Background(), tasks); err != nil {
 			b.Fatal(err)
 		}
 	}

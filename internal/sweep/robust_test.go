@@ -27,8 +27,7 @@ func TestPoolSurvivesInjectedPanics(t *testing.T) {
 			return nil
 		},
 	})
-	b := e.EvaluateAsync(tasks)
-	preds, err := b.Wait()
+	preds, err := e.EvaluateAll(context.Background(), tasks)
 	if err == nil {
 		t.Fatal("expected the batch to report the panicked tasks")
 	}
@@ -36,7 +35,7 @@ func TestPoolSurvivesInjectedPanics(t *testing.T) {
 	if !strings.Contains(err.Error(), "task 3") || !strings.Contains(err.Error(), "recovered panic") {
 		t.Fatalf("batch error %q, want the recovered panic of task 3", err)
 	}
-	want, werr := New(Options{Workers: 1, CacheSize: -1, Metrics: obs.NewRegistry()}).EvaluateAll(tasks)
+	want, werr := New(Options{Workers: 1, CacheSize: -1, Metrics: obs.NewRegistry()}).EvaluateAll(context.Background(), tasks)
 	if werr != nil {
 		t.Fatal(werr)
 	}
@@ -53,7 +52,7 @@ func TestPoolSurvivesInjectedPanics(t *testing.T) {
 	}
 	// The pool must still work: same engine, clean batch.
 	disarmed.Store(true)
-	again, err := e.EvaluateAll(tasks)
+	again, err := e.EvaluateAll(context.Background(), tasks)
 	if err != nil {
 		t.Fatalf("engine unusable after recovered panics: %v", err)
 	}
@@ -75,7 +74,7 @@ func TestBatchReportsLowestIndexedHookError(t *testing.T) {
 			return nil
 		},
 	})
-	_, err := e.EvaluateAll(tasks)
+	_, err := e.EvaluateAll(context.Background(), tasks)
 	if err == nil || !strings.Contains(err.Error(), "task 4") {
 		t.Fatalf("batch error %v, want task 4 (the lowest failing index)", err)
 	}
@@ -96,15 +95,15 @@ func TestHookFaultsAreNotMemoized(t *testing.T) {
 			return nil
 		},
 	})
-	if _, err := e.EvaluateAll(tasks); err == nil {
+	if _, err := e.EvaluateAll(context.Background(), tasks); err == nil {
 		t.Fatal("setup: the failing batch must fail")
 	}
 	failing.Store(false)
-	got, err := e.EvaluateAll(tasks)
+	got, err := e.EvaluateAll(context.Background(), tasks)
 	if err != nil {
 		t.Fatalf("cache poisoned by injected hook errors: %v", err)
 	}
-	want, werr := New(Options{Workers: 1, CacheSize: -1, Metrics: obs.NewRegistry()}).EvaluateAll(tasks)
+	want, werr := New(Options{Workers: 1, CacheSize: -1, Metrics: obs.NewRegistry()}).EvaluateAll(context.Background(), tasks)
 	if werr != nil {
 		t.Fatal(werr)
 	}
@@ -115,31 +114,28 @@ func TestHookFaultsAreNotMemoized(t *testing.T) {
 	}
 }
 
-func TestEvaluateAsyncCtxCancellation(t *testing.T) {
+func TestEvaluateAllCancellation(t *testing.T) {
 	tasks := testGrid()
 	e := New(Options{Workers: 2, Metrics: obs.NewRegistry()})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancel before the batch starts: every task is abandoned
-	_, err := e.EvaluateAllCtx(ctx, tasks)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("batch error %v, want context.Canceled", err)
+	_, err := e.EvaluateAll(ctx, tasks)
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "task 0") {
+		t.Fatalf("batch error %v, want context.Canceled reported for task 0", err)
 	}
 	if got := e.Stats().Canceled; got != uint64(len(tasks)) {
 		t.Fatalf("Canceled = %d, want %d", got, len(tasks))
 	}
 	// The engine survives cancellation.
-	if _, err := e.EvaluateAll(tasks[:4]); err != nil {
+	if _, err := e.EvaluateAll(context.Background(), tasks[:4]); err != nil {
 		t.Fatalf("engine unusable after a canceled batch: %v", err)
-	}
-	if _, err := e.MeanRTsCtx(ctx, tasks[:2]); !errors.Is(err, context.Canceled) {
-		t.Fatalf("MeanRTsCtx error %v, want context.Canceled", err)
 	}
 }
 
-func TestEvaluateAsyncCtxNilContext(t *testing.T) {
+func TestEvaluateAllNilContext(t *testing.T) {
 	tasks := testGrid()[:4]
 	e := New(Options{Workers: 2, Metrics: obs.NewRegistry()})
-	preds, err := e.EvaluateAsyncCtx(nil, tasks).Wait() //nolint:staticcheck // nil ctx tolerance is the contract under test
+	preds, err := e.EvaluateAll(nil, tasks) //nolint:staticcheck // nil ctx tolerance is the contract under test
 	if err != nil {
 		t.Fatal(err)
 	}

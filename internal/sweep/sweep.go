@@ -8,7 +8,7 @@
 //
 // The engine does two things for those callers:
 //
-//   - Sharding: EvaluateAll/EvaluateAsync spread a batch of independent
+//   - Sharding: EvaluateAll spreads a batch of independent
 //     (Params, Reps) evaluations across a bounded worker pool. Each task
 //     carries its own RNG seed and each result lands at its task's index,
 //     so batch output is bit-for-bit identical to the serial order
@@ -128,7 +128,7 @@ func New(o Options) *Engine {
 		bypasses:   reg.Counter("mdsprint_sweep_cache_bypass_total", "tasks evaluated uncached (tracer/clock attached, unfingerprintable, or cache disabled)"),
 		evicts:     reg.Counter("mdsprint_sweep_cache_evictions_total", "memoized evaluations evicted by the LRU bound"),
 		entries:    reg.Gauge("mdsprint_sweep_cache_entries", "memoized evaluations currently retained"),
-		batches:    reg.Counter("mdsprint_sweep_batches_total", "EvaluateAll/EvaluateAsync batches started"),
+		batches:    reg.Counter("mdsprint_sweep_batches_total", "EvaluateAll batches started"),
 		batchTasks: reg.Histogram("mdsprint_sweep_batch_tasks", "tasks per sweep batch", 0),
 		panics:     reg.Counter("mdsprint_sweep_recovered_panics_total", "worker panics recovered and surfaced as task errors"),
 		canceled:   reg.Counter("mdsprint_sweep_canceled_tasks_total", "batch tasks abandoned by context cancellation"),
@@ -367,40 +367,16 @@ func (e *Engine) runTask(parent *obs.Span, worker, i int, t Task) (queuesim.Pred
 	return pred, err
 }
 
-// Batch is an in-flight EvaluateAsync result.
-type Batch struct {
-	preds []queuesim.Prediction
-	errs  []error
-	done  chan struct{}
-}
-
-// Wait blocks until every task finished and returns the predictions in
-// task order. The error (if any) is the lowest-indexed task's, so a
-// failing batch reports deterministically regardless of scheduling; the
-// returned slice is still fully populated for the tasks that succeeded.
-func (b *Batch) Wait() ([]queuesim.Prediction, error) {
-	<-b.done
-	for i, err := range b.errs {
-		if err != nil {
-			return b.preds, fmt.Errorf("sweep: task %d: %w", i, err)
-		}
-	}
-	return b.preds, nil
-}
-
-// EvaluateAsync shards the batch across the worker pool and returns
-// immediately; collect with Wait. Each replication inside a task runs
-// serially (queuesim.Predict with one worker) so parallelism lives at
-// task granularity and a task's result never depends on pool size.
-func (e *Engine) EvaluateAsync(tasks []Task) *Batch {
-	return e.EvaluateAsyncCtx(context.Background(), tasks)
-}
-
-// EvaluateAsyncCtx is EvaluateAsync honoring cancellation: once ctx is
-// done, remaining tasks are abandoned with ctx's error (already-running
-// simulations finish their point). Results for completed tasks are
-// still populated, and Wait reports the lowest-indexed error as usual.
-func (e *Engine) EvaluateAsyncCtx(ctx context.Context, tasks []Task) *Batch {
+// EvaluateAll shards the batch across the worker pool and blocks for the
+// predictions in task order. Each replication inside a task runs
+// serially, so parallelism lives at task granularity and a task's result
+// never depends on pool size. Once ctx is done, remaining tasks are
+// abandoned with ctx's error (already-running simulations finish their
+// point); a nil ctx never cancels. The error (if any) is the
+// lowest-indexed task's, so a failing batch reports deterministically
+// regardless of scheduling; the returned slice is still fully populated
+// for the tasks that succeeded.
+func (e *Engine) EvaluateAll(ctx context.Context, tasks []Task) ([]queuesim.Prediction, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -408,15 +384,9 @@ func (e *Engine) EvaluateAsyncCtx(ctx context.Context, tasks []Task) *Batch {
 	e.m.batchTasks.Observe(float64(len(tasks)))
 	sp := obs.StartSpanCtx(ctx, "sweep.batch")
 	sp.SetInt("tasks", int64(len(tasks)))
-	b := &Batch{
-		preds: make([]queuesim.Prediction, len(tasks)),
-		errs:  make([]error, len(tasks)),
-		done:  make(chan struct{}),
-	}
-	workers := e.workers
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
+	preds := make([]queuesim.Prediction, len(tasks))
+	errs := make([]error, len(tasks))
+	workers := min(e.workers, len(tasks))
 	if workers < 1 {
 		workers = 1
 	}
@@ -431,44 +401,31 @@ func (e *Engine) EvaluateAsyncCtx(ctx context.Context, tasks []Task) *Batch {
 				if err := ctx.Err(); err != nil {
 					e.canceled.Add(1)
 					e.m.canceled.Inc()
-					b.errs[i] = err
+					errs[i] = err
 					continue
 				}
-				b.preds[i], b.errs[i] = e.runTask(sp, w, i, tasks[i])
+				preds[i], errs[i] = e.runTask(sp, w, i, tasks[i])
 			}
 		}(w)
 	}
-	go func() {
-		for i := range tasks {
-			idx <- i
+	for i := range tasks {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
+	sp.End()
+	for i, err := range errs {
+		if err != nil {
+			return preds, fmt.Errorf("sweep: task %d: %w", i, err)
 		}
-		close(idx)
-		wg.Wait()
-		sp.End()
-		close(b.done)
-	}()
-	return b
-}
-
-// EvaluateAll evaluates the batch and blocks for the results.
-func (e *Engine) EvaluateAll(tasks []Task) ([]queuesim.Prediction, error) {
-	return e.EvaluateAsync(tasks).Wait()
-}
-
-// EvaluateAllCtx is EvaluateAll honoring cancellation.
-func (e *Engine) EvaluateAllCtx(ctx context.Context, tasks []Task) ([]queuesim.Prediction, error) {
-	return e.EvaluateAsyncCtx(ctx, tasks).Wait()
+	}
+	return preds, nil
 }
 
 // MeanRTs is EvaluateAll reduced to each task's mean response time — the
 // shape policy searches score candidates with.
 func (e *Engine) MeanRTs(tasks []Task) ([]float64, error) {
-	return e.MeanRTsCtx(context.Background(), tasks)
-}
-
-// MeanRTsCtx is MeanRTs honoring cancellation.
-func (e *Engine) MeanRTsCtx(ctx context.Context, tasks []Task) ([]float64, error) {
-	preds, err := e.EvaluateAllCtx(ctx, tasks)
+	preds, err := e.EvaluateAll(context.Background(), tasks)
 	if err != nil {
 		return nil, err
 	}

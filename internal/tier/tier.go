@@ -25,6 +25,7 @@
 package tier
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync/atomic"
@@ -495,64 +496,75 @@ func (e *Estimator) tryAnalytic(c queuesim.Params, reps int) (queuesim.Predictio
 	return pred, errEst, 0
 }
 
-// Estimate answers one task with the cheapest sufficient tier.
-func (e *Estimator) Estimate(t sweep.Task) (queuesim.Prediction, Decision, error) {
-	dec := Decision{Bound: e.spec.Bound}
+// lookup walks the rungs that cost no simulation: the bypass check, the
+// analytic tier and the cache tier. ok reports a recorded answer;
+// otherwise dec carries the escalations so far and c the canonical
+// params the simulation rungs need.
+func (e *Estimator) lookup(t sweep.Task) (pred queuesim.Prediction, dec Decision, c queuesim.Params, ok bool) {
+	dec.Bound = e.spec.Bound
 	if t.Params.Tracer != nil || t.Params.Clock != nil {
-		dec.Tier, dec.Escalations = TierFull, EscBypass
-		pred, err := e.eng.Evaluate(t)
-		e.record(TierFull, 0, EscBypass)
-		return pred, dec, err
+		dec.Escalations = EscBypass
+		return pred, dec, c, false
 	}
-	c := t.Params.Canonical()
-	reps := taskReps(t)
-
-	if pred, errEst, esc := e.tryAnalytic(c, reps); esc == 0 {
+	c = t.Params.Canonical()
+	pred, errEst, esc := e.tryAnalytic(c, taskReps(t))
+	if esc == 0 {
 		dec.Tier, dec.ErrEstimate = TierAnalytic, errEst
-		e.record(TierAnalytic, errEst, dec.Escalations)
-		return pred, dec, nil
-	} else {
-		dec.Escalations |= esc
+		e.record(TierAnalytic, errEst, 0)
+		return pred, dec, c, true
 	}
-
+	dec.Escalations |= esc
 	if e.spec.NoCache {
 		dec.Escalations |= EscCacheOff
-	} else if pred, ok := e.eng.Lookup(t); ok {
+	} else if pred, ok = e.eng.Lookup(t); ok {
 		dec.Tier = TierCache
 		e.record(TierCache, 0, dec.Escalations)
-		return pred, dec, nil
+		return pred, dec, c, true
 	} else {
 		dec.Escalations |= EscCacheMiss
 	}
+	return queuesim.Prediction{}, dec, c, false
+}
 
-	if e.spec.NoShort {
+// shortOrFull resolves one task past lookup, serially: the short
+// replications unless the task bypasses or the spec disables them, then
+// the full evaluation.
+func (e *Estimator) shortOrFull(t sweep.Task, c queuesim.Params, dec Decision) (queuesim.Prediction, Decision, error) {
+	switch {
+	case dec.Escalations&EscBypass != 0:
+	case e.spec.NoShort:
 		dec.Escalations |= EscShortOff
-	} else {
+	default:
 		subs := make([]queuesim.Prediction, e.spec.ShortReps)
-		ok := true
+		var err error
 		for i := range subs {
-			p, err := e.eng.Evaluate(e.shortTask(c, i))
-			if err != nil {
-				dec.Escalations |= EscShortErr
-				ok = false
+			if subs[i], err = e.eng.Evaluate(e.shortTask(c, i)); err != nil {
 				break
 			}
-			subs[i] = p
 		}
-		if ok {
-			if pred, rel, fits := e.shortVerdict(c, subs); fits {
-				dec.Tier, dec.ErrEstimate = TierShort, rel
-				e.record(TierShort, rel, dec.Escalations)
-				return pred, dec, nil
-			}
+		if err != nil {
+			dec.Escalations |= EscShortErr
+		} else if pred, rel, fits := e.shortVerdict(c, subs); fits {
+			dec.Tier, dec.ErrEstimate = TierShort, rel
+			e.record(TierShort, rel, dec.Escalations)
+			return pred, dec, nil
+		} else {
 			dec.Escalations |= EscShortCI
 		}
 	}
-
 	dec.Tier = TierFull
 	pred, err := e.eng.Evaluate(t)
 	e.record(TierFull, 0, dec.Escalations)
 	return pred, dec, err
+}
+
+// Estimate answers one task with the cheapest sufficient tier.
+func (e *Estimator) Estimate(t sweep.Task) (queuesim.Prediction, Decision, error) {
+	pred, dec, c, ok := e.lookup(t)
+	if ok {
+		return pred, dec, nil
+	}
+	return e.shortOrFull(t, c, dec)
 }
 
 // MeanRT is Estimate reduced to the mean response time — the quantity
@@ -570,109 +582,66 @@ func (e *Estimator) EstimateAll(tasks []sweep.Task) ([]queuesim.Prediction, []De
 	preds := make([]queuesim.Prediction, len(tasks))
 	decs := make([]Decision, len(tasks))
 	canon := make([]queuesim.Params, len(tasks))
-	pending := make([]int, 0, len(tasks))
 
-	// Pass 1: the lookup-cost tiers, inline.
+	// Pass 1: the lookup-cost tiers, inline. Survivors that may run
+	// short replications are shortable; the rest go straight to full.
+	var shortable, escalate []int
+	var subTasks []sweep.Task
 	for i, t := range tasks {
-		decs[i].Bound = e.spec.Bound
-		if t.Params.Tracer != nil || t.Params.Clock != nil {
-			decs[i].Escalations = EscBypass
-			pending = append(pending, i)
+		var ok bool
+		if preds[i], decs[i], canon[i], ok = e.lookup(t); ok {
 			continue
 		}
-		canon[i] = t.Params.Canonical()
-		if pred, errEst, esc := e.tryAnalytic(canon[i], taskReps(t)); esc == 0 {
-			decs[i].Tier, decs[i].ErrEstimate = TierAnalytic, errEst
-			preds[i] = pred
-			e.record(TierAnalytic, errEst, decs[i].Escalations)
-			continue
-		} else {
-			decs[i].Escalations |= esc
-		}
-		if e.spec.NoCache {
-			decs[i].Escalations |= EscCacheOff
-		} else if pred, ok := e.eng.Lookup(t); ok {
-			decs[i].Tier = TierCache
-			preds[i] = pred
-			e.record(TierCache, 0, decs[i].Escalations)
-			continue
-		} else {
-			decs[i].Escalations |= EscCacheMiss
-		}
-		pending = append(pending, i)
-	}
-
-	// Pass 2: every pending task's short replications as one sweep
-	// batch. A batch error falls back to per-task resolution so one
-	// invalid task cannot change its neighbors' tier choices.
-	var escalate []int
-	var fallbackErr error
-	if e.spec.NoShort {
-		for _, i := range pending {
-			if decs[i].Escalations&EscBypass == 0 {
-				decs[i].Escalations |= EscShortOff
-			}
-		}
-		escalate = pending
-	} else {
-		shortable := make([]int, 0, len(pending))
-		var subTasks []sweep.Task
-		for _, i := range pending {
-			if decs[i].Escalations&EscBypass != 0 {
-				escalate = append(escalate, i)
-				continue
-			}
+		switch {
+		case decs[i].Escalations&EscBypass != 0:
+			escalate = append(escalate, i)
+		case e.spec.NoShort:
+			decs[i].Escalations |= EscShortOff
+			escalate = append(escalate, i)
+		default:
 			shortable = append(shortable, i)
 			for r := 0; r < e.spec.ShortReps; r++ {
 				subTasks = append(subTasks, e.shortTask(canon[i], r))
 			}
 		}
-		if len(shortable) > 0 {
-			subPreds, err := e.eng.EvaluateAll(subTasks)
-			for k, i := range shortable {
-				if err != nil {
-					// Re-resolve serially; Estimate keeps per-task
-					// semantics (and records the answer itself).
-					var rerr error
-					preds[i], decs[i], rerr = e.resolveShortOrFull(tasks[i], canon[i], decs[i])
-					if rerr != nil && fallbackErr == nil {
-						fallbackErr = rerr
-					}
-					continue
-				}
-				subs := subPreds[k*e.spec.ShortReps : (k+1)*e.spec.ShortReps]
-				if pred, rel, fits := e.shortVerdict(canon[i], subs); fits {
-					decs[i].Tier, decs[i].ErrEstimate = TierShort, rel
-					preds[i] = pred
-					e.record(TierShort, rel, decs[i].Escalations)
-					continue
-				}
-				decs[i].Escalations |= EscShortCI
-				escalate = append(escalate, i)
-			}
+	}
+
+	// Pass 2: every shortable task's short replications as one sweep
+	// batch. A batch error falls back to per-task resolution so one
+	// invalid task cannot change its neighbors' tier choices.
+	var firstErr error
+	if len(shortable) > 0 {
+		subPreds, err := e.eng.EvaluateAll(context.Background(), subTasks)
+		for k, i := range shortable {
 			if err != nil {
-				// The serial fallback answered everything that was
-				// shortable; only bypasses remain.
-				escalate = escalate[:0]
-				for _, i := range pending {
-					if decs[i].Escalations&EscBypass != 0 {
-						escalate = append(escalate, i)
-					}
+				var rerr error
+				preds[i], decs[i], rerr = e.shortOrFull(tasks[i], canon[i], decs[i])
+				if firstErr == nil {
+					firstErr = rerr
 				}
+				continue
 			}
+			subs := subPreds[k*e.spec.ShortReps : (k+1)*e.spec.ShortReps]
+			if pred, rel, fits := e.shortVerdict(canon[i], subs); fits {
+				decs[i].Tier, decs[i].ErrEstimate = TierShort, rel
+				preds[i] = pred
+				e.record(TierShort, rel, decs[i].Escalations)
+				continue
+			}
+			decs[i].Escalations |= EscShortCI
+			escalate = append(escalate, i)
 		}
 	}
 
 	// Pass 3: the survivors' full evaluations as one sweep batch. The
 	// earliest error wins: a serial-fallback failure from pass 2
 	// happened before anything pass 3 ran.
-	firstErr := fallbackErr
 	if len(escalate) > 0 {
 		fullTasks := make([]sweep.Task, len(escalate))
 		for k, i := range escalate {
 			fullTasks[k] = tasks[i]
 		}
-		fullPreds, err := e.eng.EvaluateAll(fullTasks)
+		fullPreds, err := e.eng.EvaluateAll(context.Background(), fullTasks)
 		if firstErr == nil {
 			firstErr = err
 		}
@@ -683,35 +652,6 @@ func (e *Estimator) EstimateAll(tasks []sweep.Task) ([]queuesim.Prediction, []De
 		}
 	}
 	return preds, decs, firstErr
-}
-
-// resolveShortOrFull is EstimateAll's serial fallback for one task when
-// the batched short pass failed: short tier then full tier, with the
-// escalation bits accumulated so far.
-func (e *Estimator) resolveShortOrFull(t sweep.Task, c queuesim.Params, dec Decision) (queuesim.Prediction, Decision, error) {
-	subs := make([]queuesim.Prediction, e.spec.ShortReps)
-	ok := true
-	for i := range subs {
-		p, err := e.eng.Evaluate(e.shortTask(c, i))
-		if err != nil {
-			dec.Escalations |= EscShortErr
-			ok = false
-			break
-		}
-		subs[i] = p
-	}
-	if ok {
-		if pred, rel, fits := e.shortVerdict(c, subs); fits {
-			dec.Tier, dec.ErrEstimate = TierShort, rel
-			e.record(TierShort, rel, dec.Escalations)
-			return pred, dec, nil
-		}
-		dec.Escalations |= EscShortCI
-	}
-	dec.Tier = TierFull
-	pred, err := e.eng.Evaluate(t)
-	e.record(TierFull, 0, dec.Escalations)
-	return pred, dec, err
 }
 
 // MeanRTs is EstimateAll reduced to mean response times — the shape
