@@ -83,7 +83,11 @@ cover:
 	check ./internal/lint 90; \
 	check ./internal/server 80; \
 	check ./internal/tier 90; \
-	check ./internal/queuesim/analytic 95
+	check ./internal/queuesim/analytic 95; \
+	check ./internal/core 70; \
+	check ./internal/colocate 82; \
+	check ./internal/policies 90; \
+	check ./internal/calib 87
 
 # The experiments suite runs ~2 minutes without the race detector; the
 # detector's 5-10x slowdown overruns go test's default 10m binary
