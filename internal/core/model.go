@@ -308,10 +308,11 @@ type BatchModel interface {
 // determinism contract). The whole evaluation is one "core.evaluate"
 // span, and context-aware models nest their prediction spans under it.
 func Evaluate(m Model, ds *profiler.Dataset, observations []profiler.Observation) (ev Evaluation, err error) {
-	sp := obs.StartSpanCtx(context.Background(), "core.evaluate")
+	ctx := context.TODO()
+	sp := obs.StartSpanCtx(ctx, "core.evaluate")
 	sp.SetString("model", m.Name())
 	sp.SetInt("observations", int64(len(observations)))
-	ctx := obs.ContextWithSpan(context.Background(), sp)
+	ctx = obs.ContextWithSpan(ctx, sp)
 	defer func() {
 		sp.SetError(err)
 		sp.End()

@@ -104,7 +104,7 @@ func Ablations(lab *Lab) (AblationsResult, error) {
 	// response-time error (mu_e-space error would mostly measure
 	// calibration noise in RT-insensitive regions).
 	trainObs, testObs := profiler.SplitObservations(ds.Observations, 0.7, lab.Scale.Seed+211)
-	recs, err := calib.CalibrateDatasetCtx(context.Background(), ds, trainObs, base)
+	recs, err := calib.CalibrateDatasetCtx(context.TODO(), ds, trainObs, base)
 	if err != nil {
 		return res, err
 	}

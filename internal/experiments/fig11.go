@@ -102,7 +102,7 @@ func Fig11(lab *Lab) Fig11Result {
 				// many-worker batch would pay for.
 				runtime.GC()
 				start := time.Now()
-				if _, err := eng.EvaluateAll(context.Background(), tasks); err != nil {
+				if _, err := eng.EvaluateAll(context.TODO(), tasks); err != nil {
 					panic(err)
 				}
 				elapsed[i] = math.Min(elapsed[i], time.Since(start).Minutes())

@@ -108,7 +108,7 @@ func JointSearch(c Context, candidates []JointCandidate, opts explore.BatchOptio
 			Hi:            []float64{maxTO},
 			NeighborRange: []float64{maxTO / 8},
 		}
-		res, err := explore.MinimizeBatchCtx(context.Background(), obj, space, opts)
+		res, err := explore.MinimizeBatchCtx(context.TODO(), obj, space, opts)
 		if err != nil {
 			return nil, -1, fmt.Errorf("policies: %s: %w", cand.Label(), err)
 		}

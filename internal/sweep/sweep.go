@@ -425,7 +425,7 @@ func (e *Engine) EvaluateAll(ctx context.Context, tasks []Task) ([]queuesim.Pred
 // MeanRTs is EvaluateAll reduced to each task's mean response time — the
 // shape policy searches score candidates with.
 func (e *Engine) MeanRTs(tasks []Task) ([]float64, error) {
-	preds, err := e.EvaluateAll(context.Background(), tasks)
+	preds, err := e.EvaluateAll(context.TODO(), tasks)
 	if err != nil {
 		return nil, err
 	}

@@ -611,7 +611,7 @@ func (e *Estimator) EstimateAll(tasks []sweep.Task) ([]queuesim.Prediction, []De
 	// invalid task cannot change its neighbors' tier choices.
 	var firstErr error
 	if len(shortable) > 0 {
-		subPreds, err := e.eng.EvaluateAll(context.Background(), subTasks)
+		subPreds, err := e.eng.EvaluateAll(context.TODO(), subTasks)
 		for k, i := range shortable {
 			if err != nil {
 				var rerr error
@@ -641,7 +641,7 @@ func (e *Estimator) EstimateAll(tasks []sweep.Task) ([]queuesim.Prediction, []De
 		for k, i := range escalate {
 			fullTasks[k] = tasks[i]
 		}
-		fullPreds, err := e.eng.EvaluateAll(context.Background(), fullTasks)
+		fullPreds, err := e.eng.EvaluateAll(context.TODO(), fullTasks)
 		if firstErr == nil {
 			firstErr = err
 		}
