@@ -233,7 +233,7 @@ func cmdLoad(ctx context.Context, args []string) error {
 					served.Add(1)
 					// Close the loop with an observation off the sprint
 					// response surface, so tenants keep calibrating.
-					rt := online.SurfaceRT(1, 0.8, 20, rate, res.Timeout)
+					rt := online.SurfaceRT(online.DefaultServiceRate, online.DefaultSprintGain, online.DefaultSweetTimeout, rate, res.Timeout)
 					//lint:ignore errdrop load-generator observations are best effort
 					_ = c.Observe(lctx, tenant, rate, rt)
 				case lctx.Err() != nil:

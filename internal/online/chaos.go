@@ -1,49 +1,21 @@
 package online
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
 
-	"mdsprint/internal/core"
 	"mdsprint/internal/dist"
 	"mdsprint/internal/fault"
 	"mdsprint/internal/obs"
 	"mdsprint/internal/profiler"
 )
 
-// ChaosOptions tunes a chaos replay. The zero value is a complete,
-// sensibly tuned configuration.
+// ChaosOptions directs a chaos replay's side outputs. The zero value
+// records into obs.Default() and keeps no ledger.
 type ChaosOptions struct {
-	// ServiceRate is the synthetic queue's sustained service rate mu in
-	// queries/second (default 1). BaseRate is the scenario's nominal
-	// arrival rate (default 0.7), scaled per phase by RateFactor.
-	ServiceRate float64
-	BaseRate    float64
-	// SprintGain and SweetTimeout shape the ground-truth response-time
-	// surface: sprinting boosts the effective service rate by up to
-	// SprintGain, peaking when the timeout sits at SweetTimeout seconds
-	// (defaults 0.8 and 20).
-	SprintGain   float64
-	SweetTimeout float64
-	// MaxTimeout bounds the timeout search (default 60 s).
-	MaxTimeout float64
-	// StepSeconds is the virtual-time length of one control step
-	// (default 4 s).
-	StepSeconds float64
-	// AnnealIter sizes each retune search (default 30).
-	AnnealIter int
-	// EstimatorWindow and EstimatorAlpha configure the arrival-rate
-	// estimator (defaults 60 s and 0.3).
-	EstimatorWindow float64
-	EstimatorAlpha  float64
-	// RetuneThreshold is the relative rate drift that triggers a retune
-	// (default 0.15).
-	RetuneThreshold float64
-	// Watchdog tunes the degradation watchdogs (zero values take the
-	// watchdog defaults).
-	Watchdog WatchdogConfig
 	// Metrics receives controller and injector metrics; nil records
 	// into obs.Default().
 	Metrics *obs.Registry
@@ -52,82 +24,18 @@ type ChaosOptions struct {
 	Ledger *DecisionLedger
 }
 
-func (o ChaosOptions) withDefaults() ChaosOptions {
-	if o.ServiceRate <= 0 {
-		o.ServiceRate = 1
-	}
-	if o.BaseRate <= 0 {
-		o.BaseRate = 0.7 * o.ServiceRate
-	}
-	if o.SprintGain <= 0 {
-		o.SprintGain = 0.8
-	}
-	if o.SweetTimeout <= 0 {
-		o.SweetTimeout = 20
-	}
-	if o.MaxTimeout <= 0 {
-		o.MaxTimeout = 60
-	}
-	if o.StepSeconds <= 0 {
-		o.StepSeconds = 4
-	}
-	if o.AnnealIter <= 0 {
-		o.AnnealIter = 30
-	}
-	if o.EstimatorWindow <= 0 {
-		o.EstimatorWindow = 60
-	}
-	if o.EstimatorAlpha <= 0 {
-		o.EstimatorAlpha = 0.3
-	}
-	return o
-}
-
-// SurfaceRT is the ground-truth response-time surface of the synthetic
-// queue used by the chaos replays and the serving daemon's analytic
-// tenant models: M/M/1-shaped, with a timeout-dependent sprint boost
-// on the effective service rate that peaks at the sweet spot (x·e^(1−x)
-// is 1 at x=1). Saturated arrivals clamp to the heavy-traffic response
-// time so the surface stays finite under burst storms.
-func SurfaceRT(mu, gain, sweet, lambda, to float64) float64 {
-	x := to / sweet
-	if x < 0 {
-		x = 0
-	}
-	muEff := mu * (1 + gain*x*math.Exp(1-x))
-	if lambda >= 0.95*muEff {
-		return 20 / muEff
-	}
-	return 1 / (muEff - lambda)
-}
-
-// chaosModel is an analytic stand-in for a trained model: it predicts
-// the ground-truth surface scaled by a phase-scripted bias (1, or 0,
-// means honest; far from 1 models a diverged fit). The shared pointers
-// let the replay re-script the bias — or an outright outage — between
-// phases.
-type chaosModel struct {
-	name            string
-	mu, gain, sweet float64
-	bias            *float64
-	fail            *bool
-}
-
-// Name implements core.Model.
-func (m chaosModel) Name() string { return m.name }
-
-// Predict implements core.Model on the synthetic surface.
-func (m chaosModel) Predict(_ *profiler.Dataset, sc core.Scenario) (core.Prediction, error) {
-	if m.fail != nil && *m.fail {
-		return core.Prediction{}, fmt.Errorf("online: chaos model %s scripted outage", m.name)
-	}
-	b := *m.bias
-	if b <= 0 {
-		b = 1
-	}
-	rt := SurfaceRT(m.mu, m.gain, m.sweet, sc.ArrivalRate, sc.Cond.Timeout) * b
-	return core.Prediction{MeanRT: rt}, nil
-}
+// The replay's fixed settings, beyond the surface and controller
+// defaults: the nominal arrival rate (scaled per phase by RateFactor),
+// the virtual-time length of one control step, the arrival-rate
+// estimator's window and smoothing, and the observation noise a phase
+// gets when it scripts none.
+const (
+	chaosBaseRate        = 0.7 * DefaultServiceRate
+	chaosStepSeconds     = 4.0
+	chaosEstimatorWindow = 60.0
+	chaosEstimatorAlpha  = 0.3
+	chaosNoiseCV         = 0.05
+)
 
 // ChaosStep is one control step of a replay timeline.
 type ChaosStep struct {
@@ -197,16 +105,13 @@ func (r *ChaosResult) Violations(sc fault.Scenario) []string {
 // surface under scripted model bias and multiplicative noise. The whole
 // replay is a deterministic function of the scenario seed.
 func RunChaos(sc fault.Scenario, opt ChaosOptions) (*ChaosResult, error) {
-	o := opt.withDefaults()
 	if len(sc.Phases) == 0 {
 		return nil, fmt.Errorf("online: scenario %q has no phases", sc.Name)
 	}
 
-	mu := o.ServiceRate
-	primaryBias, fallbackBias := 1.0, 1.0
-	primaryFail := false
-	primary := chaosModel{name: "chaos-primary", mu: mu, gain: o.SprintGain, sweet: o.SweetTimeout, bias: &primaryBias, fail: &primaryFail}
-	fallbck := chaosModel{name: "chaos-fallback", mu: mu, gain: o.SprintGain, sweet: o.SweetTimeout, bias: &fallbackBias}
+	mu, gain, sweet := DefaultServiceRate, DefaultSprintGain, DefaultSweetTimeout
+	primary := NewSurfaceModel("chaos-primary", mu, gain, sweet)
+	fallbck := NewSurfaceModel("chaos-fallback", mu, gain, sweet)
 
 	// The retune breaker trips on the first failed search: a scripted
 	// outage makes every primary prediction error, so the breaker opens
@@ -214,33 +119,31 @@ func RunChaos(sc fault.Scenario, opt ChaosOptions) (*ChaosResult, error) {
 	// scenarios never fail a search, so a closed breaker is
 	// behaviour-neutral and existing fingerprints are unchanged.
 	fc, err := NewFallbackController(FallbackConfig{
-		Primary:         primary,
-		Fallback:        fallbck,
-		Dataset:         &profiler.Dataset{ServiceRate: mu, MarginalRate: mu * (1 + o.SprintGain)},
-		MaxTimeout:      o.MaxTimeout,
-		AnnealIter:      o.AnnealIter,
-		Seed:            sc.Seed,
-		RetuneThreshold: o.RetuneThreshold,
-		Watchdog:        o.Watchdog,
-		Metrics:         o.Metrics,
+		Primary:    primary,
+		Fallback:   fallbck,
+		Dataset:    &profiler.Dataset{ServiceRate: mu, MarginalRate: mu * (1 + gain)},
+		MaxTimeout: DefaultMaxTimeout,
+		AnnealIter: DefaultAnnealIter,
+		Seed:       sc.Seed,
+		Metrics:    opt.Metrics,
 		Breaker: fault.NewBreaker(fault.BreakerConfig{
 			Name:             "chaos-retune",
 			FailureThreshold: 1,
-			Metrics:          o.Metrics,
+			Metrics:          opt.Metrics,
 		}),
-		Ledger: o.Ledger,
+		Ledger: opt.Ledger,
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	est, err := NewRateEstimator(o.EstimatorWindow, o.EstimatorAlpha)
+	est, err := NewRateEstimator(chaosEstimatorWindow, chaosEstimatorAlpha)
 	if err != nil {
 		return nil, err
 	}
 	// realized tracks the post-perturbation arrival rate with no
 	// smoothing: the "true" load observations are generated under.
-	realized, err := NewRateEstimator(o.EstimatorWindow, 0)
+	realized, err := NewRateEstimator(chaosEstimatorWindow, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -258,23 +161,23 @@ func RunChaos(sc fault.Scenario, opt ChaosOptions) (*ChaosResult, error) {
 		if rateFactor <= 0 {
 			rateFactor = 1
 		}
-		lambda := o.BaseRate * rateFactor
-		primaryBias = ph.PrimaryBias
-		fallbackBias = ph.FallbackBias
-		primaryFail = ph.PrimaryFail
+		lambda := chaosBaseRate * rateFactor
+		primary.SetBias(ph.PrimaryBias)
+		primary.SetFailing(ph.PrimaryFail)
+		fallbck.SetBias(ph.FallbackBias)
 		noiseCV := ph.NoiseCV
 		if noiseCV <= 0 {
-			noiseCV = 0.05
+			noiseCV = chaosNoiseCV
 		}
 		perturb := fault.NewArrivalFaults(fault.ArrivalFaultConfig{
 			Seed:      sc.Seed + uint64(pi)*0x9e3779b97f4a7c15,
 			BurstProb: ph.BurstProb,
 			BurstSize: ph.BurstSize,
-			Metrics:   o.Metrics,
+			Metrics:   opt.Metrics,
 		})
 		nextArrival = now + arrivalRNG.ExpFloat64()/lambda
 		for s := 0; s < ph.Steps; s++ {
-			stepEnd := now + o.StepSeconds
+			stepEnd := now + chaosStepSeconds
 			var batch []float64
 			for nextArrival < stepEnd {
 				batch = append(batch, nextArrival)
@@ -290,7 +193,7 @@ func RunChaos(sc fault.Scenario, opt ChaosOptions) (*ChaosResult, error) {
 			if rate <= 0 {
 				rate = lambda // estimator not warmed up yet
 			}
-			to, err := fc.Timeout(rate)
+			to, err := fc.TimeoutCtx(context.Background(), rate)
 			if err != nil {
 				return nil, fmt.Errorf("online: chaos %q step %d: %w", sc.Name, step, err)
 			}
@@ -298,13 +201,13 @@ func RunChaos(sc fault.Scenario, opt ChaosOptions) (*ChaosResult, error) {
 			if real <= 0 {
 				real = lambda
 			}
-			truth := SurfaceRT(mu, o.SprintGain, o.SweetTimeout, real, to)
+			truth := SurfaceRT(mu, gain, sweet, real, to)
 			sigma := noiseCV
 			observed := truth * math.Exp(sigma*noiseRNG.NormFloat64()-sigma*sigma/2)
 			// Health verdicts start after the estimator's first full
 			// window: before that, estimate-vs-realized mismatch is a
 			// warmup artifact, not evidence about the model.
-			if now >= o.EstimatorWindow {
+			if now >= chaosEstimatorWindow {
 				fc.Observe(rate, observed)
 			}
 
@@ -321,7 +224,7 @@ func RunChaos(sc fault.Scenario, opt ChaosOptions) (*ChaosResult, error) {
 				RealizedRate:  real,
 				ObservedRT:    observed,
 			})
-			o.Ledger.StampVirtual(now)
+			opt.Ledger.StampVirtual(now)
 			step++
 		}
 	}

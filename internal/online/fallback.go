@@ -161,16 +161,11 @@ func (f *FallbackController) LastGoodTimeout() (float64, bool) {
 	return f.lastGoodTO, f.haveGood
 }
 
-// Timeout returns the sprint timeout for the estimated arrival rate,
+// TimeoutCtx returns the sprint timeout for the estimated arrival rate,
 // routed through the level currently in force. A failing search is
 // itself a health signal: the controller demotes and retries down the
-// chain before giving up.
-func (f *FallbackController) Timeout(rate float64) (float64, error) {
-	return f.TimeoutCtx(context.Background(), rate)
-}
-
-// TimeoutCtx is Timeout honoring span tracing: the selection is one
-// "online.decide" span, with one "online.tier" child per tier attempt.
+// chain before giving up. The selection is one "online.decide" span
+// under ctx, with one "online.tier" child per tier attempt.
 func (f *FallbackController) TimeoutCtx(ctx context.Context, rate float64) (float64, error) {
 	sp := obs.StartSpanCtx(ctx, "online.decide")
 	to, err := f.decide(sp, rate)

@@ -1,6 +1,7 @@
 package online
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -86,7 +87,7 @@ func TestTimeoutDemotesOnSearchFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	to, err := fc.Timeout(1.0)
+	to, err := fc.TimeoutCtx(context.Background(), 1.0)
 	if err != nil {
 		t.Fatalf("fallback tier did not rescue the decision: %v", err)
 	}
@@ -107,7 +108,7 @@ func TestTimeoutBottomsOutWhenAllTiersFail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fc.Timeout(1.0); err == nil {
+	if _, err := fc.TimeoutCtx(context.Background(), 1.0); err == nil {
 		t.Fatal("both tiers broken and nothing banked, yet a timeout was produced")
 	}
 	if fc.Level() != LevelStatic {
@@ -122,7 +123,7 @@ func TestStaticTierServesBankedTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	to, err := fc.Timeout(1.0)
+	to, err := fc.TimeoutCtx(context.Background(), 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestStaticTierServesBankedTimeout(t *testing.T) {
 	if fc.Level() != LevelStatic {
 		t.Fatalf("level %s, want static", fc.Level())
 	}
-	got, err := fc.Timeout(1.0)
+	got, err := fc.TimeoutCtx(context.Background(), 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestObservePredictionFailuresDemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fc.Timeout(1.0); err != nil {
+	if _, err := fc.TimeoutCtx(context.Background(), 1.0); err != nil {
 		t.Fatal(err)
 	}
 	failing = true
@@ -244,8 +245,7 @@ func TestControllerBreakerSuppressesRetunes(t *testing.T) {
 }
 
 func TestChaosModelAndViolations(t *testing.T) {
-	b := 1.0
-	m := chaosModel{name: "chaos-x", mu: 1, gain: 0.8, sweet: 20, bias: &b}
+	m := NewSurfaceModel("chaos-x", 1, 0.8, 20)
 	if m.Name() != "chaos-x" {
 		t.Errorf("Name() = %q", m.Name())
 	}
@@ -288,7 +288,7 @@ func TestDecisionRecordsEstimatorTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fc.Timeout(0.5); err != nil {
+	if _, err := fc.TimeoutCtx(context.Background(), 0.5); err != nil {
 		t.Fatal(err)
 	}
 	recs := led.Records()

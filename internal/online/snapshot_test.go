@@ -1,6 +1,7 @@
 package online
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -16,21 +17,19 @@ type snapshotHarness struct {
 	fc      *FallbackController
 	breaker *fault.Breaker
 	ledger  *DecisionLedger
-	bias    *float64
-	fail    *bool
+	primary *SurfaceModel
 }
 
 func newSnapshotHarness(t *testing.T, seed uint64) *snapshotHarness {
 	t.Helper()
 	const mu, gain, sweet = 1.0, 0.8, 20.0
-	bias := 1.0
-	failing := false
+	primary := NewSurfaceModel("p", mu, gain, sweet)
 	reg := obs.NewRegistry()
 	br := fault.NewBreaker(fault.BreakerConfig{Name: "snapshot-test", FailureThreshold: 1, Metrics: reg})
 	ledger := NewBoundedDecisionLedger(64)
 	fc, err := NewFallbackController(FallbackConfig{
-		Primary:  chaosModel{name: "p", mu: mu, gain: gain, sweet: sweet, bias: &bias, fail: &failing},
-		Fallback: chaosModel{name: "f", mu: mu, gain: gain, sweet: sweet, bias: new(float64)},
+		Primary:  primary,
+		Fallback: NewSurfaceModel("f", mu, gain, sweet),
 		Dataset:  &profiler.Dataset{ServiceRate: mu, MarginalRate: mu * (1 + gain)},
 		Seed:     seed, MaxTimeout: 60, AnnealIter: 20,
 		Breaker: br, Metrics: reg, Ledger: ledger,
@@ -38,8 +37,7 @@ func newSnapshotHarness(t *testing.T, seed uint64) *snapshotHarness {
 	if err != nil {
 		t.Fatalf("NewFallbackController: %v", err)
 	}
-	*fc.cfg.Fallback.(chaosModel).bias = 1
-	return &snapshotHarness{fc: fc, breaker: br, ledger: ledger, bias: &bias, fail: &failing}
+	return &snapshotHarness{fc: fc, breaker: br, ledger: ledger, primary: primary}
 }
 
 // drive runs steps decisions with slowly drifting rates and honest
@@ -49,7 +47,7 @@ func (h *snapshotHarness) drive(t *testing.T, start, steps int) []float64 {
 	out := make([]float64, 0, steps)
 	for i := start; i < start+steps; i++ {
 		rate := 0.5 + 0.3*math.Sin(float64(i)/7)
-		to, err := h.fc.Timeout(rate)
+		to, err := h.fc.TimeoutCtx(context.Background(), rate)
 		if err != nil {
 			t.Fatalf("step %d: Timeout: %v", i, err)
 		}
@@ -108,8 +106,8 @@ func TestSnapshotRestoreContinuesBitIdentically(t *testing.T) {
 func TestSnapshotRestoreCarriesDegradedState(t *testing.T) {
 	h := newSnapshotHarness(t, 7)
 	h.drive(t, 0, 12)
-	*h.fail = true
-	if _, err := h.fc.Timeout(0.9); err != nil {
+	h.primary.SetFailing(true)
+	if _, err := h.fc.TimeoutCtx(context.Background(), 0.9); err != nil {
 		t.Fatalf("decision during outage: %v", err)
 	}
 	if h.fc.Level() == LevelHybrid {

@@ -599,7 +599,7 @@ func (s *Server) handleFault(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if err := m.scriptFault(req.Mode, req.Value); err != nil {
+	if err := m.ScriptFault(req.Mode, req.Value); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}

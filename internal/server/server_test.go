@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"mdsprint/internal/core"
 	"mdsprint/internal/online"
 )
 
@@ -422,13 +423,14 @@ func TestFaultEndpointScriptsModels(t *testing.T) {
 		t.Fatalf("Fault: %v", err)
 	}
 	tn, _ := s.lookup("a")
-	if !tn.primary.failing.Load() {
+	probe := core.Scenario{ArrivalRate: 0.5}
+	if _, err := tn.primary.Predict(nil, probe); err == nil {
 		t.Fatal("fault endpoint did not script the outage")
 	}
 	if err := c.Fault(context.Background(), FaultRequest{Tenant: "a", Mode: "clear"}); err != nil {
 		t.Fatalf("Fault clear: %v", err)
 	}
-	if tn.primary.failing.Load() {
+	if _, err := tn.primary.Predict(nil, probe); err != nil {
 		t.Fatal("clear did not reset the outage")
 	}
 	if err := c.Fault(context.Background(), FaultRequest{Tenant: "a", Mode: "bogus"}); err == nil {

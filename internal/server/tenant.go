@@ -40,13 +40,15 @@ type TenantConfig struct {
 	// Name routes requests; required and unique per server.
 	Name string `json:"name"`
 	// ServiceRate, SprintGain and SweetTimeout shape the tenant's
-	// ground-truth surface (defaults 1, 0.8, 20) — each tenant is its
+	// ground-truth surface (defaults online.DefaultServiceRate,
+	// DefaultSprintGain and DefaultSweetTimeout) — each tenant is its
 	// own independently calibrated workload.
 	ServiceRate  float64 `json:"service_rate"`
 	SprintGain   float64 `json:"sprint_gain"`
 	SweetTimeout float64 `json:"sweet_timeout"`
 	// MaxTimeout, AnnealIter, Seed and RetuneThreshold tune the tenant's
-	// controllers (defaults 60, 30, per-name hash, 0.15).
+	// controllers (defaults online.DefaultMaxTimeout, DefaultAnnealIter,
+	// a per-name hash and the controller's 0.15).
 	MaxTimeout      float64 `json:"max_timeout"`
 	AnnealIter      int     `json:"anneal_iter"`
 	Seed            uint64  `json:"seed"`
@@ -73,19 +75,19 @@ type TenantConfig struct {
 
 func (c TenantConfig) withDefaults() TenantConfig {
 	if c.ServiceRate <= 0 {
-		c.ServiceRate = 1
+		c.ServiceRate = online.DefaultServiceRate
 	}
 	if c.SprintGain <= 0 {
-		c.SprintGain = 0.8
+		c.SprintGain = online.DefaultSprintGain
 	}
 	if c.SweetTimeout <= 0 {
-		c.SweetTimeout = 20
+		c.SweetTimeout = online.DefaultSweetTimeout
 	}
 	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 60
+		c.MaxTimeout = online.DefaultMaxTimeout
 	}
 	if c.AnnealIter <= 0 {
-		c.AnnealIter = 30
+		c.AnnealIter = online.DefaultAnnealIter
 	}
 	if c.Seed == 0 {
 		// Distinct deterministic seeds per tenant name.
@@ -158,8 +160,8 @@ type tenant struct {
 	fc       *online.FallbackController
 	breaker  *fault.Breaker
 	ledger   *online.DecisionLedger
-	primary  *SurfaceModel
-	fallback *SurfaceModel
+	primary  *online.SurfaceModel
+	fallback *online.SurfaceModel
 	tiers    *tier.Estimator // nil unless TierSpec is configured
 
 	queue    chan *op
@@ -183,8 +185,8 @@ func newTenant(cfg TenantConfig) (*tenant, error) {
 	}
 	cfg = cfg.withDefaults()
 	reg := obs.NewRegistry()
-	primary := NewSurfaceModel(cfg.Name+"-primary", cfg.ServiceRate, cfg.SprintGain, cfg.SweetTimeout)
-	fallback := NewSurfaceModel(cfg.Name+"-fallback", cfg.ServiceRate, cfg.SprintGain, cfg.SweetTimeout)
+	primary := online.NewSurfaceModel(cfg.Name+"-primary", cfg.ServiceRate, cfg.SprintGain, cfg.SweetTimeout)
+	fallback := online.NewSurfaceModel(cfg.Name+"-fallback", cfg.ServiceRate, cfg.SprintGain, cfg.SweetTimeout)
 	breaker := fault.NewBreaker(fault.BreakerConfig{
 		Name: cfg.Name, FailureThreshold: 1, Metrics: reg,
 	})
@@ -480,7 +482,7 @@ func (t *tenant) Level() online.Level {
 }
 
 // model returns the named fault-injection target.
-func (t *tenant) model(which string) (*SurfaceModel, error) {
+func (t *tenant) model(which string) (*online.SurfaceModel, error) {
 	switch which {
 	case "", "primary":
 		return t.primary, nil
