@@ -79,7 +79,7 @@ func TestDaemonSoak(t *testing.T) {
 					res, err := c.Decide(cctx, tenant, rate)
 					if err == nil {
 						served.Add(1)
-						obsRT := online.SurfaceRT(1, 0.8, 20, rate, res.Timeout)
+						obsRT := online.SurfaceRT(online.DefaultServiceRate, online.DefaultSprintGain, online.DefaultSweetTimeout, rate, res.Timeout)
 						//lint:ignore errdrop a shed observation under injected faults is expected soak noise
 						_ = c.Observe(cctx, tenant, rate, obsRT)
 					} else if isShedOrFault(err) {
@@ -113,16 +113,24 @@ func TestDaemonSoak(t *testing.T) {
 	}
 
 	// Overload burst against alpha's 8-deep queue: wedge its model
-	// briefly and flood; the daemon must shed with 429/503, fast.
+	// briefly and flood; the daemon must shed with 429/503, fast. A
+	// decide inside the retune threshold answers from the cached
+	// timeout without consulting the model, so the delay stalls alpha's
+	// worker only while an observe or a retune is in a model call. The
+	// flood is released once the worker is inside such a delayed call.
+	alpha, _ := s.lookup("alpha")
+	modelCalls := func() uint64 { return alpha.primary.Predicts() + alpha.fallback.Predicts() }
 	if err := admin.Fault(ctx, FaultRequest{Tenant: "alpha", Mode: "delay", Value: 0.05}); err != nil {
 		t.Fatalf("scripting alpha delay: %v", err)
 	}
 	var sheds atomic.Int64
 	var burst sync.WaitGroup
+	flood := make(chan struct{})
 	for i := 0; i < 40; i++ {
 		burst.Add(1)
 		go func() {
 			defer burst.Done()
+			<-flood
 			resp, err := http.Post(srv.URL+"/v1/decide", "application/json",
 				strings.NewReader(`{"tenant":"alpha","rate":0.5}`))
 			if err != nil {
@@ -140,6 +148,16 @@ func TestDaemonSoak(t *testing.T) {
 			}
 		}()
 	}
+	// Any model call that starts after the fault is scripted sees the
+	// delay, so a rise in the call count means the worker is stalled.
+	callsBefore := modelCalls()
+	for deadline := time.Now().Add(5 * time.Second); modelCalls() == callsBefore; {
+		if time.Now().After(deadline) {
+			t.Fatal("alpha's model was never consulted under the delay fault")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(flood)
 	burst.Wait()
 	if err := admin.Fault(ctx, FaultRequest{Tenant: "alpha", Mode: "clear"}); err != nil {
 		t.Fatalf("clearing alpha: %v", err)
