@@ -19,8 +19,8 @@
 //	    plan burstable-instance colocation for a Figure 13 combo
 //	sprintctl chaos -scenario model-divergence [-out timeline.json]
 //	    replay a fault-injection scenario against the degradation
-//	    controller and verify its scripted expectations (-chaos <name>
-//	    is a global shorthand; 'chaos -list' enumerates scenarios)
+//	    controller and verify its scripted expectations ('chaos -list'
+//	    enumerates scenarios; 'chaos -all' replays every one)
 //	sprintctl monitor [-chaos <name>|all] [-addr host:port [-watch 2s]]
 //	    kubenow-style health view: report only what's broken, stay
 //	    quiet when healthy
@@ -59,19 +59,19 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"runtime/debug"
 	"strings"
 	"time"
 
-	"mdsprint/internal/calib"
+	"mdsprint"
 	"mdsprint/internal/colocate"
 	"mdsprint/internal/core"
 	"mdsprint/internal/dist"
 	"mdsprint/internal/experiments"
 	"mdsprint/internal/explore"
-	"mdsprint/internal/forest"
 	"mdsprint/internal/lifecycle"
 	"mdsprint/internal/mech"
 	"mdsprint/internal/obs"
@@ -102,7 +102,6 @@ func run(args []string) int {
 	quiet := globals.Bool("quiet", false, "suppress progress output (errors only)")
 	verbose := globals.Bool("v", false, "verbose progress output")
 	showVersion := globals.Bool("version", false, "print version and exit")
-	chaosName := globals.String("chaos", "", "replay the named chaos scenario and exit ('all' runs every builtin); shorthand for the chaos command")
 	tracePath := globals.String("trace", "", "record span tracing for the whole run and write a Chrome trace-event JSON (chrome://tracing, Perfetto) to this path on exit")
 	globals.Usage = usage
 	if err := globals.Parse(args); err != nil {
@@ -158,18 +157,6 @@ func run(args []string) int {
 	// accumulated before exiting (see internal/lifecycle).
 	ctx, stop := lifecycle.SignalContext(context.Background())
 	defer stop()
-
-	if *chaosName != "" {
-		chaosArgs := []string{"-scenario", *chaosName}
-		if *chaosName == "all" {
-			chaosArgs = []string{"-all"}
-		}
-		if err := cmdChaos(ctx, chaosArgs); err != nil {
-			fmt.Fprintf(os.Stderr, "sprintctl: %v\n", err)
-			return 1
-		}
-		return 0
-	}
 
 	rest := globals.Args()
 	if len(rest) == 0 {
@@ -249,7 +236,6 @@ func startDebugServer(addr string) (*obs.DebugServer, error) {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: sprintctl [-debug-addr host:port] [-quiet|-v] <workloads|profile|predict|explore|disciplines|tiers|colocate|chaos|monitor|pipeline|sprintd|decide|load> [flags]")
-	fmt.Fprintln(os.Stderr, "       sprintctl -chaos <scenario|all>")
 	fmt.Fprintln(os.Stderr, "       sprintctl -version")
 	fmt.Fprintln(os.Stderr, "run 'sprintctl <command> -h' for command flags")
 }
@@ -287,7 +273,7 @@ func cmdProfile(args []string) error {
 		return err
 	}
 
-	mix, err := resolveMix(*workloadName)
+	mix, err := mdsprint.WorkloadMix(*workloadName)
 	if err != nil {
 		return err
 	}
@@ -312,33 +298,6 @@ func cmdProfile(args []string) error {
 	return nil
 }
 
-func resolveMix(name string) (workload.Mix, error) {
-	switch name {
-	case "MixI":
-		return workload.MixI(), nil
-	case "MixII":
-		return workload.MixII(), nil
-	default:
-		c, err := workload.ByName(name)
-		if err != nil {
-			return workload.Mix{}, err
-		}
-		return workload.SingleClass(c), nil
-	}
-}
-
-// trainHybrid trains the hybrid model on every observation of a dataset.
-func trainHybrid(ds *profiler.Dataset, seed uint64) (*core.Hybrid, error) {
-	return core.TrainHybrid(
-		[]core.TrainingSet{{Dataset: ds, Observations: ds.Observations}},
-		core.HybridOptions{
-			Forest:     forest.Config{Trees: 10, FeatureFrac: 0.9, Seed: seed + 7},
-			Calib:      calib.Options{NumQueries: 2500, Replications: 3, Tolerance: 0.025, Seed: seed + 101},
-			SimQueries: 3000, SimReps: 2, Seed: seed + 13,
-		},
-	)
-}
-
 func cmdPredict(args []string) error {
 	fs := flag.NewFlagSet("predict", flag.ExitOnError)
 	dsPath := fs.String("dataset", "dataset.json", "profiled dataset (from sprintctl profile)")
@@ -361,7 +320,7 @@ func cmdPredict(args []string) error {
 	switch *modelName {
 	case "hybrid":
 		logg.Infof("training hybrid model (calibrating effective sprint rates)...")
-		model, err = trainHybrid(ds, *seed)
+		model, err = mdsprint.TrainHybrid(ds, mdsprint.ModelOptions{SimQueries: 3000, SimReps: 2, Seed: *seed})
 		if err != nil {
 			return err
 		}
@@ -408,22 +367,31 @@ func cmdExplore(args []string) error {
 		return err
 	}
 	logg.Infof("training hybrid model...")
-	h, err := trainHybrid(ds, *seed)
+	h, err := mdsprint.TrainHybrid(ds, mdsprint.ModelOptions{SimQueries: 3000, SimReps: 2, Seed: *seed})
 	if err != nil {
 		return err
 	}
+	// The first prediction error is kept and returned; the objective
+	// reports +Inf so the search steers away from the failing point.
+	var predErr error
 	obj := func(to float64) float64 {
 		pred, err := h.Predict(ds, core.Scenario{Cond: profiler.Condition{
 			Utilization: *util, ArrivalKind: dist.KindExponential,
 			Timeout: to, RefillTime: *refill, BudgetPct: *budget,
 		}})
 		if err != nil {
-			panic(err)
+			if predErr == nil {
+				predErr = err
+			}
+			return math.Inf(1)
 		}
 		return pred.MeanRT
 	}
 	logg.Infof("annealing timeouts in [0, %.0f] (%d iterations)...", *maxTimeout, *iters)
 	res, err := explore.MinimizeTimeout(obj, 0, *maxTimeout, explore.Options{MaxIter: *iters, Seed: *seed})
+	if predErr != nil {
+		return fmt.Errorf("predicting during timeout search: %w", predErr)
+	}
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 
+	"mdsprint"
 	"mdsprint/internal/calib"
 	"mdsprint/internal/core"
 	"mdsprint/internal/dist"
@@ -61,7 +62,7 @@ type pipelineParams struct {
 
 // runPipeline executes the stages under the given root span.
 func runPipeline(ctx context.Context, root *obs.Span, p pipelineParams) error {
-	mix, err := resolveMix(p.workload)
+	mix, err := mdsprint.WorkloadMix(p.workload)
 	if err != nil {
 		return err
 	}

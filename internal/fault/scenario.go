@@ -55,7 +55,7 @@ type Expect struct {
 // sequence, with the expected controller behaviour attached so replays
 // are self-checking.
 type Scenario struct {
-	// Name identifies the scenario in sprintctl -chaos and the
+	// Name identifies the scenario in sprintctl chaos -scenario and the
 	// registry.
 	Name string
 	// Desc is a one-line summary for listings.
