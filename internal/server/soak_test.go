@@ -38,7 +38,7 @@ func TestDaemonSoak(t *testing.T) {
 		SnapshotPath:  snapPath,
 		SnapshotEvery: 50 * time.Millisecond,
 		MaxInFlight:   64,
-		Logf:          t.Logf,
+		Logf:          cleanupGuardedLogf(t),
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -252,4 +252,27 @@ func isShedOrFault(err error) bool {
 		strings.Contains(msg, "injected") ||
 		strings.Contains(msg, "context deadline exceeded") ||
 		strings.Contains(msg, "connection refused")
+}
+
+// cleanupGuardedLogf returns a Logf that forwards to t.Logf until t's
+// cleanups start, then drops lines. After an early t.Fatalf only the
+// deferred cancel runs and nothing waits for the snapshot loop, which
+// may still log; t.Logf after the test returns panics the binary and
+// aborts the remaining -count runs. The mutex makes the cut-off exact:
+// once the cleanup holds it, no t.Logf call is in flight.
+func cleanupGuardedLogf(t *testing.T) func(format string, args ...any) {
+	var mu sync.Mutex
+	done := false
+	t.Cleanup(func() {
+		mu.Lock()
+		done = true
+		mu.Unlock()
+	})
+	return func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		if !done {
+			t.Logf(format, args...)
+		}
+	}
 }
