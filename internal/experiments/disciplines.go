@@ -107,8 +107,12 @@ func DisciplineSweep(lab *Lab, specs []DisciplineSpec) (DisciplineSweepResult, e
 		Seed:        lab.Scale.Seed + 223,
 		Engine:      lab.Engine(),
 	}
+	// Outcomes report each search's evaluation count, which counts
+	// speculation and so depends on the cohort: fix it, rather than take
+	// the host's CPU count.
 	opts := explore.BatchOptions{
 		Options: explore.Options{MaxIter: lab.Scale.AnnealIter, Seed: lab.Scale.Seed + 227},
+		Cohort:  8,
 	}
 	outs, best, err := policies.JointSearch(ctx, cands, opts)
 	if err != nil {

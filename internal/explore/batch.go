@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 
 	"mdsprint/internal/dist"
 	"mdsprint/internal/obs"
@@ -19,19 +20,23 @@ type BatchObjective func(points [][]float64) ([]float64, error)
 type BatchOptions struct {
 	Options
 	// Cohort is how many neighbour proposals are constructed and scored
-	// per objective call (default 8). The cohort is speculative: every
-	// proposal is built from the current incumbent, and an acceptance
-	// invalidates the rest of its cohort, which is re-proposed from the
-	// new incumbent. The search trajectory is therefore bit-for-bit
-	// identical for every cohort size; only the amount of discarded
-	// speculative work varies (Result.Speculative).
+	// per objective call (default runtime.GOMAXPROCS(0): one proposal
+	// per CPU the objective's sweep can run at once). The cohort is
+	// speculative: every proposal is built from the current incumbent,
+	// and an acceptance invalidates the rest of its cohort, which is
+	// re-proposed from the new incumbent. The search trajectory is
+	// therefore bit-for-bit identical for every cohort size; only the
+	// amount of discarded speculative work varies (Result.Speculative,
+	// and with it Result.Evaluations). A caller that reports
+	// Evaluations as a result sets Cohort, so the count does not depend
+	// on the host.
 	Cohort int
 }
 
 func (o BatchOptions) withDefaults() BatchOptions {
 	o.Options = o.Options.withDefaults()
 	if o.Cohort <= 0 {
-		o.Cohort = 8
+		o.Cohort = runtime.GOMAXPROCS(0)
 	}
 	return o
 }

@@ -3,6 +3,7 @@ package explore
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -188,5 +189,16 @@ func assertNoPhantomSteps(t *testing.T, trace []Step) {
 		if same {
 			t.Fatalf("trace step %d re-accepts its predecessor %v", i, trace[i].Point)
 		}
+	}
+}
+
+// TestBatchDefaultCohortMatchesWorkers: an unset cohort proposes one
+// candidate per CPU the objective's sweep can use at once.
+func TestBatchDefaultCohortMatchesWorkers(t *testing.T) {
+	if got, want := (BatchOptions{}).withDefaults().Cohort, runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("default cohort %d, want GOMAXPROCS %d", got, want)
+	}
+	if got := (BatchOptions{Cohort: 3}).withDefaults().Cohort; got != 3 {
+		t.Fatalf("explicit cohort 3 became %d", got)
 	}
 }
