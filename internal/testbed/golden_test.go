@@ -206,3 +206,35 @@ func TestGoldenQueryRecords(t *testing.T) {
 		})
 	}
 }
+
+// TestRunIntoMatchesRun replays the golden matrix into one reused
+// Result, forward and then backward so the record count both grows and
+// shrinks, and requires each replay to equal a fresh Run record for
+// record and to keep the case's golden digest.
+func TestRunIntoMatchesRun(t *testing.T) {
+	cases := goldenCases()
+	var res Result
+	for pass := 0; pass < 2; pass++ {
+		for k := range cases {
+			c := cases[k]
+			if pass == 1 {
+				c = cases[len(cases)-1-k]
+			}
+			if err := RunInto(c.cfg, &res); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			want := MustRun(c.cfg)
+			if len(res.Queries) != len(want.Queries) {
+				t.Fatalf("%s: %d records, Run gives %d", c.name, len(res.Queries), len(want.Queries))
+			}
+			for i := range want.Queries {
+				if res.Queries[i] != want.Queries[i] {
+					t.Fatalf("%s: record %d = %+v, Run gives %+v", c.name, i, res.Queries[i], want.Queries[i])
+				}
+			}
+			if got := hashResult(&res); got != c.want {
+				t.Fatalf("%s: digest %#016x, want %#016x", c.name, got, c.want)
+			}
+		}
+	}
+}
