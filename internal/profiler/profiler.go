@@ -244,6 +244,11 @@ func (p *Profiler) MeasureMarginalRate() (float64, float64) {
 	return 1 / stats.Mean(times), res.Duration
 }
 
+// replays recycles the testbed results RunCondition replays into: a
+// condition reads each replay's response times and drops its records, so
+// the next replay may overwrite them.
+var replays = sync.Pool{New: func() any { return new(testbed.Result) }}
+
 // RunCondition replays the mix once under cond and returns the
 // observation plus the simulated duration.
 func (p *Profiler) RunCondition(cond Condition, seed uint64) (Observation, float64) {
@@ -253,8 +258,10 @@ func (p *Profiler) RunCondition(cond Condition, seed uint64) (Observation, float
 	total := 0
 	dur := 0.0
 	m := p.metrics()
+	res := replays.Get().(*testbed.Result)
+	defer replays.Put(res)
 	for rep := 0; rep < pp.Replications; rep++ {
-		res := testbed.MustRun(testbed.Config{
+		err := testbed.RunInto(testbed.Config{
 			Mix:         pp.Mix,
 			Mechanism:   pp.Mechanism,
 			Policy:      cond.Policy(),
@@ -263,7 +270,10 @@ func (p *Profiler) RunCondition(cond Condition, seed uint64) (Observation, float
 			NumQueries:  pp.QueriesPerRun,
 			Warmup:      pp.Warmup,
 			Seed:        seed + uint64(rep)*0x9e3779b9,
-		})
+		}, res)
+		if err != nil {
+			panic(err)
+		}
 		m.runs.Inc()
 		for i := range res.Queries {
 			rts = append(rts, res.Queries[i].ResponseTime())

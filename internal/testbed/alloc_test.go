@@ -1,7 +1,10 @@
 package testbed
 
 import (
+	"math"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"mdsprint/internal/mech"
 	"mdsprint/internal/sprint"
@@ -55,5 +58,66 @@ func TestRunZeroAllocsPerQuery(t *testing.T) {
 		if small > maxRunAllocs {
 			t.Errorf("%s: %v allocs per run, budget %d", name, small, maxRunAllocs)
 		}
+	}
+}
+
+// bytesPerRun returns the heap bytes one warmed call of f allocates:
+// the least, over three rounds, of the mean over n calls. A collection
+// during a round may empty the testbed's server pool, and the refill is
+// not steady state.
+func bytesPerRun(f func(), n int) uint64 {
+	f()
+	least := uint64(math.MaxUint64)
+	for round := 0; round < 3; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/uint64(n))
+	}
+	return least
+}
+
+// TestRunIntoZeroAllocsRecords pins RunInto's reuse: replaying into one
+// Result allocates none of the records, so its bytes per run stay a
+// small fraction of the record storage and do not grow with the query
+// count, while Run allocates the storage every time.
+func TestRunIntoZeroAllocsRecords(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations")
+	}
+	cfg := jacobiCfg()
+	cfg.Policy = sprint.Policy{Timeout: 20, BudgetSeconds: 200, RefillTime: 600, Speedup: 1e9}
+	into := func(n int) uint64 {
+		c := cfg
+		c.NumQueries, c.Warmup = n, n/10
+		var res Result
+		var first *QueryRecord
+		return bytesPerRun(func() {
+			if err := RunInto(c, &res); err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = &res.Queries[0]
+			} else if &res.Queries[0] != first {
+				t.Fatal("RunInto moved the records to new storage")
+			}
+		}, 20)
+	}
+	records := uint64(5500) * uint64(unsafe.Sizeof(QueryRecord{}))
+	small, large := into(500), into(5000)
+	fresh := bytesPerRun(func() { MustRun(cfg) }, 5)
+	t.Logf("RunInto: %d B/run at 500 queries, %d at 5000; Run: %d B/run at 2200; records of 5500 queries: %d B",
+		small, large, fresh, records)
+	if large >= records/10 {
+		t.Errorf("RunInto allocated %d B per run at 5000 queries, records would be %d B", large, records)
+	}
+	if large > small+1024 {
+		t.Errorf("RunInto allocates per query: %d B per run at 5000 queries, %d at 500", large, small)
+	}
+	if need := uint64(2200) * uint64(unsafe.Sizeof(QueryRecord{})); fresh < need {
+		t.Errorf("Run allocated %d B per run, less than its %d B of fresh records", fresh, need)
 	}
 }
