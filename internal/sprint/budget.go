@@ -229,20 +229,3 @@ func (a *Accountant) TimeToEmpty(now float64) float64 {
 	}
 	return a.level / -rate
 }
-
-// TimeToLevel returns how long from now until the bucket accrues to at
-// least want sprint-seconds, or +Inf if it never will at the current rate.
-func (a *Accountant) TimeToLevel(now, want float64) float64 {
-	a.advance(now)
-	if want > a.capacity {
-		return math.Inf(1)
-	}
-	if a.level >= want {
-		return 0
-	}
-	rate := a.netRate()
-	if rate <= 0 {
-		return math.Inf(1)
-	}
-	return (want - a.level) / rate
-}

