@@ -24,9 +24,10 @@ func runAllocs(t *testing.T, cfg Config, n int) float64 {
 	})
 }
 
-// maxRunAllocs bounds the fixed per-run allocations (result, records,
-// accountant, per-class sprint curves and service distributions).
-const maxRunAllocs = 32
+// maxRunAllocs bounds the fixed per-run allocations: Run's result and
+// its records. The pooled server memoizes its sprint curves and
+// distributions and resets its accountant in place.
+const maxRunAllocs = 2
 
 // TestRunZeroAllocsPerQuery pins the pooled testbed: a run allocates its
 // result, its records and a fixed set of per-run objects, but nothing per
@@ -80,8 +81,8 @@ func bytesPerRun(f func(), n int) uint64 {
 	return least
 }
 
-// TestRunIntoZeroAllocsRecords pins RunInto's reuse: replaying into one
-// Result allocates none of the records, so its bytes per run stay a
+// TestRunIntoZeroAllocsRecords pins RunInto's reuse: replaying a config
+// into one Result allocates nothing at all, so its bytes per run stay a
 // small fraction of the record storage and do not grow with the query
 // count, while Run allocates the storage every time.
 func TestRunIntoZeroAllocsRecords(t *testing.T) {
@@ -90,6 +91,14 @@ func TestRunIntoZeroAllocsRecords(t *testing.T) {
 	}
 	cfg := jacobiCfg()
 	cfg.Policy = sprint.Policy{Timeout: 20, BudgetSeconds: 200, RefillTime: 600, Speedup: 1e9}
+	var warm Result
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := RunInto(cfg, &warm); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("RunInto of a repeated config: %v allocs per run, want 0", allocs)
+	}
 	into := func(n int) uint64 {
 		c := cfg
 		c.NumQueries, c.Warmup = n, n/10

@@ -238,3 +238,68 @@ func TestRunIntoMatchesRun(t *testing.T) {
 		}
 	}
 }
+
+// TestServerMemoAcrossConfigs runs the golden matrix on one server,
+// each case followed by variants that change one input of a memoized
+// curve or distribution (the commanded speedup, the mechanism family,
+// the runtime-effects flag, the arrival kind and rate, the service CV),
+// forward and then backward, and requires every run to equal a fresh
+// server's record for record.
+func TestServerMemoAcrossConfigs(t *testing.T) {
+	var cfgs []Config
+	for _, c := range goldenCases() {
+		cfgs = append(cfgs, c.cfg)
+		v := c.cfg
+		v.Policy.Speedup = 1.2
+		cfgs = append(cfgs, v)
+		v = c.cfg
+		if _, ok := v.Mechanism.(mech.CoreScale); ok {
+			v.Mechanism = mech.DVFS{}
+		} else {
+			v.Mechanism = mech.CoreScale{}
+		}
+		cfgs = append(cfgs, v)
+		v = c.cfg
+		v.DisableRuntimeEffects = !v.DisableRuntimeEffects
+		cfgs = append(cfgs, v)
+		v = c.cfg
+		v.ArrivalKind = dist.KindPareto
+		cfgs = append(cfgs, v)
+		v = c.cfg
+		v.ArrivalRate *= 1.1
+		cfgs = append(cfgs, v)
+		v = c.cfg
+		v.Mix.Components = nil
+		for _, comp := range c.cfg.Mix.Components {
+			cls := *comp.Class
+			cls.ServiceCV *= 2
+			v.Mix.Components = append(v.Mix.Components, workload.Component{Class: &cls, Weight: comp.Weight})
+		}
+		cfgs = append(cfgs, v)
+	}
+	run := func(s *server, cfg Config) []QueryRecord {
+		s.reset(cfg.withDefaults(), nil)
+		s.run()
+		var res Result
+		s.result(&res)
+		s.release()
+		return res.Queries
+	}
+	shared := newServer()
+	for pass := 0; pass < 2; pass++ {
+		for k := range cfgs {
+			if pass == 1 {
+				k = len(cfgs) - 1 - k
+			}
+			got, want := run(shared, cfgs[k]), run(newServer(), cfgs[k])
+			if len(got) != len(want) {
+				t.Fatalf("config %d: %d records, fresh server gives %d", k, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("config %d: record %d = %+v, fresh server gives %+v", k, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
