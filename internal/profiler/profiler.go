@@ -200,7 +200,9 @@ func (p *Profiler) sustainedRate() float64 {
 // samples. This is profiler output #1.
 func (p *Profiler) MeasureServiceRate() (float64, []float64, float64) {
 	pp := p.defaults()
-	res := testbed.MustRun(testbed.Config{
+	r := replays.Get().(*replay)
+	defer replays.Put(r)
+	replayInto(testbed.Config{
 		Mix:         pp.Mix,
 		Mechanism:   pp.Mechanism,
 		Policy:      sprint.Policy{Timeout: -1},
@@ -208,9 +210,9 @@ func (p *Profiler) MeasureServiceRate() (float64, []float64, float64) {
 		NumQueries:  pp.QueriesPerRun,
 		Warmup:      pp.Warmup,
 		Seed:        pp.Seed ^ 0xa5a5a5a5,
-	})
-	samples := res.ProcessingTimes()
-	return 1 / stats.Mean(samples), samples, res.Duration
+	}, &r.res)
+	samples := r.res.ProcessingTimes()
+	return 1 / stats.Mean(samples), samples, r.res.Duration
 }
 
 // MeasureMarginalRate sprints every execution in full (timeout zero,
@@ -218,7 +220,9 @@ func (p *Profiler) MeasureServiceRate() (float64, []float64, float64) {
 // (mu_m, queries/second). This is profiler output #2.
 func (p *Profiler) MeasureMarginalRate() (float64, float64) {
 	pp := p.defaults()
-	res := testbed.MustRun(testbed.Config{
+	r := replays.Get().(*replay)
+	defer replays.Put(r)
+	replayInto(testbed.Config{
 		Mix:       pp.Mix,
 		Mechanism: pp.Mechanism,
 		Policy: sprint.Policy{
@@ -228,40 +232,58 @@ func (p *Profiler) MeasureMarginalRate() (float64, float64) {
 		NumQueries:  pp.QueriesPerRun,
 		Warmup:      pp.Warmup,
 		Seed:        pp.Seed ^ 0x5a5a5a5a,
-	})
+	}, &r.res)
 	// Only whole-execution sprints count toward mu_m.
-	var times []float64
-	for i := range res.Queries {
-		q := &res.Queries[i]
+	times := r.times[:0]
+	for i := range r.res.Queries {
+		q := &r.res.Queries[i]
 		if q.Sprinted && stats.ApproxZero(q.SprintTau, 1e-12) {
 			times = append(times, q.ProcessingTime())
 		}
 	}
 	if len(times) == 0 {
 		// Degenerate mechanism (speedup 1): fall back to all queries.
-		times = res.ProcessingTimes()
+		for i := range r.res.Queries {
+			times = append(times, r.res.Queries[i].ProcessingTime())
+		}
 	}
-	return 1 / stats.Mean(times), res.Duration
+	r.times = times
+	return 1 / stats.Mean(times), r.res.Duration
 }
 
-// replays recycles the testbed results RunCondition replays into: a
-// condition reads each replay's response times and drops its records, so
-// the next replay may overwrite them.
-var replays = sync.Pool{New: func() any { return new(testbed.Result) }}
+// replayInto runs cfg on the testbed into res; the profiler builds
+// every config itself, so an invalid one is a bug.
+func replayInto(cfg testbed.Config, res *testbed.Result) {
+	if err := testbed.RunInto(cfg, res); err != nil {
+		panic(err)
+	}
+}
+
+// replay is the scratch one measurement replays into: a testbed result
+// whose records the next replay overwrites, and a buffer for the
+// per-query times read out of it.
+type replay struct {
+	res   testbed.Result
+	times []float64
+}
+
+// replays recycles replay scratch: a measurement reads its replays'
+// times and keeps neither the records nor the buffer.
+var replays = sync.Pool{New: func() any { return new(replay) }}
 
 // RunCondition replays the mix once under cond and returns the
 // observation plus the simulated duration.
 func (p *Profiler) RunCondition(cond Condition, seed uint64) (Observation, float64) {
 	pp := p.defaults()
-	rts := make([]float64, 0, pp.QueriesPerRun*pp.Replications)
 	sprinted := 0
 	total := 0
 	dur := 0.0
 	m := p.metrics()
-	res := replays.Get().(*testbed.Result)
-	defer replays.Put(res)
+	r := replays.Get().(*replay)
+	defer replays.Put(r)
+	rts := r.times[:0]
 	for rep := 0; rep < pp.Replications; rep++ {
-		err := testbed.RunInto(testbed.Config{
+		replayInto(testbed.Config{
 			Mix:         pp.Mix,
 			Mechanism:   pp.Mechanism,
 			Policy:      cond.Policy(),
@@ -270,18 +292,16 @@ func (p *Profiler) RunCondition(cond Condition, seed uint64) (Observation, float
 			NumQueries:  pp.QueriesPerRun,
 			Warmup:      pp.Warmup,
 			Seed:        seed + uint64(rep)*0x9e3779b9,
-		}, res)
-		if err != nil {
-			panic(err)
-		}
+		}, &r.res)
 		m.runs.Inc()
-		for i := range res.Queries {
-			rts = append(rts, res.Queries[i].ResponseTime())
+		for i := range r.res.Queries {
+			rts = append(rts, r.res.Queries[i].ResponseTime())
 		}
-		sprinted += res.SprintedCount
-		total += len(res.Queries)
-		dur += res.Duration
+		sprinted += r.res.SprintedCount
+		total += len(r.res.Queries)
+		dur += r.res.Duration
 	}
+	r.times = rts
 	// The mean sums in replication order before selection reorders rts.
 	mean := stats.Mean(rts)
 	p95, p99 := stats.SelectQuantilePair(rts, 0.95, 0.99)
@@ -295,44 +315,48 @@ func (p *Profiler) RunCondition(cond Condition, seed uint64) (Observation, float
 	}, dur
 }
 
-// Profile measures mu and mu_m, then replays every condition, in parallel
-// across Workers. Results are deterministic for a fixed Seed regardless of
-// worker count.
+// Profile measures mu and mu_m and replays every condition, all in
+// parallel across Workers: no condition reads mu or mu_m. Results are
+// deterministic for a fixed Seed regardless of worker count.
 func (p *Profiler) Profile(conds []Condition) *Dataset {
 	pp := p.defaults()
 	m := pp.metrics()
 	m.planned.Set(float64(len(conds)))
-	mu, samples, d1 := pp.MeasureServiceRate()
-	mum, d2 := pp.MeasureMarginalRate()
-	m.serviceRate.Set(mu)
-	m.marginal.Set(mum)
 	ds := &Dataset{
-		MixName:          pp.Mix.Name,
-		MechName:         pp.Mechanism.Name(),
-		ServiceRate:      mu,
-		MarginalRate:     mum,
-		ServiceSamples:   samples,
-		Observations:     make([]Observation, len(conds)),
-		ProfilingSeconds: d1 + d2,
+		MixName:      pp.Mix.Name,
+		MechName:     pp.Mechanism.Name(),
+		Observations: make([]Observation, len(conds)),
 	}
+	var d1, d2 float64
 	durations := make([]float64, len(conds))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, pp.Workers)
-	for i, cond := range conds {
+	spawn := func(task func()) {
 		wg.Add(1)
 		//lint:ignore ctxleak bounded fork-join: every worker finishes and is joined before Profile returns
-		go func(i int, cond Condition) {
+		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
+			task()
+		}()
+	}
+	spawn(func() { ds.ServiceRate, ds.ServiceSamples, d1 = pp.MeasureServiceRate() })
+	spawn(func() { ds.MarginalRate, d2 = pp.MeasureMarginalRate() })
+	for i, cond := range conds {
+		spawn(func() {
 			obs, dur := pp.RunCondition(cond, pp.Seed+uint64(i)*0x632be59bd9b4e019)
 			ds.Observations[i] = obs
 			durations[i] = dur
 			m.done.Inc()
 			m.condSeconds.Observe(dur)
-		}(i, cond)
+		})
 	}
 	wg.Wait()
+	m.serviceRate.Set(ds.ServiceRate)
+	m.marginal.Set(ds.MarginalRate)
+	// The same summation order as measuring the baselines first.
+	ds.ProfilingSeconds = d1 + d2
 	for _, d := range durations {
 		ds.ProfilingSeconds += d
 	}
