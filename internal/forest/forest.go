@@ -130,9 +130,10 @@ func Train(samples []Sample, names []string, cfg Config) (*Forest, error) {
 	if nSub > width {
 		nSub = width
 	}
+	sc := &scratch{boot: make([]*Sample, len(samples))}
 	for ti := 0; ti < c.Trees; ti++ {
 		// Bootstrap sample (with replacement).
-		boot := make([]*Sample, len(samples))
+		boot := sc.boot
 		for i := range boot {
 			boot[i] = &samples[rng.Intn(len(samples))]
 		}
@@ -141,11 +142,42 @@ func Train(samples []Sample, names []string, cfg Config) (*Forest, error) {
 		feats := append([]int(nil), perm[:nSub]...)
 		sort.Ints(feats)
 		tr := &tree{features: feats}
-		tr.root = f.grow(boot, feats, c, 0)
+		tr.root = f.grow(sc, boot, feats, c, 0)
 		f.trees = append(f.trees, tr)
 		treesTrained.Inc()
 	}
 	return f, nil
+}
+
+// scratch is the working memory one Train call shares across the growth
+// of all its trees: the bootstrap sample, which grow partitions in
+// place, and the buffers of one split scan or leaf fit at a time.
+type scratch struct {
+	boot   []*Sample
+	sorted byFeature // bestSplit's sorted copy of a node's samples
+	// prefix and prefixSq hold bestSplit's running sums of y and y².
+	prefix, prefixSq []float64
+	spill            []*Sample // grow's right-hand side while it partitions
+	xs, ys           []float64 // makeLeaf's regression inputs
+}
+
+// byFeature sorts samples by one feature. sort.Sort runs the same
+// pdqsort as sort.Slice, so it orders them identically.
+type byFeature struct {
+	s  []*Sample
+	fi int
+}
+
+func (b *byFeature) Len() int           { return len(b.s) }
+func (b *byFeature) Less(i, j int) bool { return b.s[i].Features[b.fi] < b.s[j].Features[b.fi] }
+func (b *byFeature) Swap(i, j int)      { b.s[i], b.s[j] = b.s[j], b.s[i] }
+
+// resize returns buf with length n, reusing its storage when it can.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // variance returns the population variance of the targets.
@@ -166,41 +198,47 @@ func variance(samples []*Sample) float64 {
 	return v / float64(len(samples))
 }
 
-// grow recursively builds a (sub)tree. Trees are grown deep and unpruned;
-// growth stops only when a node is too small, pure, un-splittable, or at
-// the configured depth cap.
-func (f *Forest) grow(samples []*Sample, feats []int, c Config, depth int) *node {
+// grow recursively builds a (sub)tree, reordering samples in place.
+// Trees are grown deep and unpruned; growth stops only when a node is
+// too small, pure, un-splittable, or at the configured depth cap.
+func (f *Forest) grow(sc *scratch, samples []*Sample, feats []int, c Config, depth int) *node {
 	if len(samples) < 2*c.MinLeaf || variance(samples) < 1e-18 ||
 		(c.MaxDepth > 0 && depth >= c.MaxDepth) {
-		return f.makeLeaf(samples, c)
+		return f.makeLeaf(sc, samples, c)
 	}
 	bestGain := 0.0
 	bestFeat := -1
 	bestThr := 0.0
 	parentVar := variance(samples)
 	for _, fi := range feats {
-		thr, gain := bestSplit(samples, fi, c.MinLeaf, parentVar)
+		thr, gain := sc.bestSplit(samples, fi, c.MinLeaf, parentVar)
 		if gain > bestGain {
 			bestGain, bestFeat, bestThr = gain, fi, thr
 		}
 	}
 	if bestFeat < 0 {
-		return f.makeLeaf(samples, c)
+		return f.makeLeaf(sc, samples, c)
 	}
 	f.gains[bestFeat] += bestGain * float64(len(samples))
-	var left, right []*Sample
+	// Stable partition: the left side keeps its order at the front, the
+	// right side follows in its order.
+	nLeft := 0
+	right := sc.spill[:0]
 	for _, s := range samples {
 		if s.Features[bestFeat] <= bestThr {
-			left = append(left, s)
+			samples[nLeft] = s
+			nLeft++
 		} else {
 			right = append(right, s)
 		}
 	}
+	copy(samples[nLeft:], right)
+	sc.spill = right
 	return &node{
 		feature:   bestFeat,
 		threshold: bestThr,
-		left:      f.grow(left, feats, c, depth+1),
-		right:     f.grow(right, feats, c, depth+1),
+		left:      f.grow(sc, samples[:nLeft], feats, c, depth+1),
+		right:     f.grow(sc, samples[nLeft:], feats, c, depth+1),
 	}
 }
 
@@ -208,13 +246,16 @@ func (f *Forest) grow(samples []*Sample, feats []int, c Config, depth int) *node
 // the largest variance gain (Equation 3's variance-reduction criterion,
 // with the child terms weighted by subset size). Candidate thresholds are
 // midpoints between consecutive distinct feature values.
-func bestSplit(samples []*Sample, fi, minLeaf int, parentVar float64) (thr, gain float64) {
-	sorted := append([]*Sample(nil), samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Features[fi] < sorted[j].Features[fi] })
+func (sc *scratch) bestSplit(samples []*Sample, fi, minLeaf int, parentVar float64) (thr, gain float64) {
+	sc.sorted = byFeature{s: append(sc.sorted.s[:0], samples...), fi: fi}
+	sort.Sort(&sc.sorted)
+	sorted := sc.sorted.s
 	n := len(sorted)
 	// Prefix sums for O(1) variance of each side.
-	prefix := make([]float64, n+1)
-	prefixSq := make([]float64, n+1)
+	prefix := resize(sc.prefix, n+1)
+	prefixSq := resize(sc.prefixSq, n+1)
+	sc.prefix, sc.prefixSq = prefix, prefixSq
+	prefix[0], prefixSq[0] = 0, 0
 	for i, s := range sorted {
 		prefix[i+1] = prefix[i] + s.Y
 		prefixSq[i+1] = prefixSq[i] + s.Y*s.Y
@@ -249,13 +290,14 @@ func bestSplit(samples []*Sample, fi, minLeaf int, parentVar float64) (thr, gain
 // makeLeaf fits the leaf's linear regression of y on x (Figure 5's
 // mu_e = a*mu_m + b leaves), or a constant mean under the MeanLeaves
 // ablation.
-func (f *Forest) makeLeaf(samples []*Sample, c Config) *node {
+func (f *Forest) makeLeaf(sc *scratch, samples []*Sample, c Config) *node {
 	if len(samples) == 0 {
 		// Can happen only on degenerate splits; predict a neutral fit.
 		return &node{leaf: true, fit: stats.LinearFit{A: 1, B: 0}}
 	}
-	xs := make([]float64, len(samples))
-	ys := make([]float64, len(samples))
+	xs := resize(sc.xs, len(samples))
+	ys := resize(sc.ys, len(samples))
+	sc.xs, sc.ys = xs, ys
 	for i, s := range samples {
 		xs[i] = s.X
 		ys[i] = s.Y
