@@ -144,13 +144,14 @@ bench-obs:
 	MDSPRINT_BENCH_OBS=1 $(GO) test -count=1 -run 'TestObsOverheadBudget' .
 
 # alloc-check runs the testing.AllocsPerRun budget tests that pin the
-# simulator hot path at zero steady-state allocations, and the testbed's
-# per-query and record-reuse budgets. They self-skip
+# simulator hot path at zero steady-state allocations, the testbed's
+# per-run and record-reuse budgets, the profiler's condition replay and
+# forest training's per-split budget. They self-skip
 # under -race (instrumentation allocates), so the merge gate runs them
 # here without it; -count=1 defeats the test cache.
 .PHONY: alloc-check
 alloc-check:
-	$(GO) test -count=1 -run 'ZeroAllocs' ./internal/queuesim ./internal/sim ./internal/server ./internal/tier ./internal/testbed
+	$(GO) test -count=1 -run 'ZeroAllocs' ./internal/queuesim ./internal/sim ./internal/server ./internal/tier ./internal/testbed ./internal/profiler ./internal/forest
 
 # bench-tier measures the staged RT estimator against always-full
 # evaluation on the mixed stationary query stream (baseline recorded in
