@@ -44,7 +44,8 @@ const (
 
 // Config describes one testbed run.
 type Config struct {
-	// Mix is the query mix served.
+	// Mix is the query mix served. Its classes must not change once
+	// run: pooled servers memoize each class's sprint curve.
 	Mix workload.Mix
 	// Mechanism is the sprinting hardware.
 	Mechanism mech.Mechanism
