@@ -163,7 +163,7 @@ func runReference(p Params) (*Result, error) {
 		eng:     &refEngine{},
 		rng:     dist.NewRNG(p.Seed),
 		arr:     arr,
-		acct:    sprint.NewAccountant(p.BudgetSeconds, refillRate(p), acctOpts...),
+		acct:    sprint.NewAccountant(p.BudgetSeconds, p.budget().RefillRate(), acctOpts...),
 		speedup: p.speedup(),
 		tr:      p.Tracer,
 		free:    p.Slots,

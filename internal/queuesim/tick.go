@@ -50,7 +50,7 @@ func RunTick(p Params, step float64) (*Result, error) {
 	speedup := p.speedup()
 	enabled := p.sprintingEnabled()
 	budget := p.BudgetSeconds
-	refill := refillRate(p)
+	refill := p.budget().RefillRate()
 
 	type tq struct {
 		idx      int

@@ -82,43 +82,33 @@ func NewAccountant(capacity, refillRate float64, opts ...AccountantOption) *Acco
 	return a
 }
 
-// Reset reinitializes a in place at virtual time zero: capacity and
-// refill rate as in NewAccountant, refill semantics selected by mode
-// (window is the RefillWindow snap interval and is ignored — leaving rate
-// accrual in force — unless positive, mirroring how the queue simulator
-// guards an unset refill time). The bucket starts full. Reset is the
-// allocation-free equivalent of NewAccountant + options for reusable
-// simulator runners; it does not cover soft budgets or initial levels,
-// which remain option-only.
-func (a *Accountant) Reset(capacity, refillRate float64, mode RefillMode, window float64) {
+// ForPolicy builds an accountant implementing p's budget clause.
+func ForPolicy(p Policy) *Accountant {
+	a := new(Accountant)
+	a.ResetFor(p)
+	return a
+}
+
+// ResetFor reinitializes a in place, full at virtual time zero, to
+// implement p's budget clause: capacity p.BudgetSeconds, refill rate
+// p.RefillRate(), refill semantics p.Refill (a RefillWindow policy with
+// no positive refill time keeps rate accrual), and an overdraft when
+// p.Soft. Reusable simulator servers call it instead of ForPolicy to
+// avoid the allocation.
+func (a *Accountant) ResetFor(p Policy) {
+	capacity, refillRate := p.BudgetSeconds, p.RefillRate()
 	if capacity < 0 || refillRate < 0 || math.IsNaN(capacity) || math.IsNaN(refillRate) {
 		panic(fmt.Sprintf("sprint: invalid accountant capacity=%v refill=%v", capacity, refillRate))
 	}
-	*a = Accountant{capacity: capacity, refillRate: refillRate, level: capacity}
-	switch mode {
+	*a = Accountant{capacity: capacity, refillRate: refillRate, level: capacity, soft: p.Soft}
+	switch p.Refill {
 	case RefillPaused:
 		a.pauseWhileSprinting = true
 	case RefillWindow:
-		if window > 0 {
-			a.windowRefill = window
-		}
-	}
-}
-
-// ForPolicy builds an accountant implementing p's budget clause.
-func ForPolicy(p Policy, opts ...AccountantOption) *Accountant {
-	if p.Soft {
-		opts = append(opts, WithSoftBudget())
-	}
-	switch p.Refill {
-	case RefillPaused:
-		opts = append(opts, WithPausedRefill())
-	case RefillWindow:
 		if p.RefillTime > 0 {
-			opts = append(opts, WithWindowRefill(p.RefillTime))
+			a.windowRefill = p.RefillTime
 		}
 	}
-	return NewAccountant(p.BudgetSeconds, p.RefillRate(), opts...)
 }
 
 // netRate returns the current rate of change of the budget level.

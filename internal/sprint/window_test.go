@@ -132,3 +132,37 @@ func TestWithWindowRefillValidation(t *testing.T) {
 	}()
 	NewAccountant(10, 0, WithWindowRefill(0))
 }
+
+// TestResetForMatchesOptions holds ResetFor, on an accountant left
+// mid-sprint by an earlier run, to the accountant the option
+// constructors build for every budget clause.
+func TestResetForMatchesOptions(t *testing.T) {
+	var a Accountant
+	a.ResetFor(Policy{BudgetSeconds: 3, RefillTime: 7, Soft: true, Refill: RefillWindow})
+	for _, refill := range []RefillMode{RefillContinuous, RefillPaused, RefillWindow} {
+		for _, rt := range []float64{0, 500} {
+			for _, soft := range []bool{false, true} {
+				p := Policy{BudgetSeconds: 100, RefillTime: rt, Refill: refill, Soft: soft}
+				var opts []AccountantOption
+				if soft {
+					opts = append(opts, WithSoftBudget())
+				}
+				switch {
+				case refill == RefillPaused:
+					opts = append(opts, WithPausedRefill())
+				case refill == RefillWindow && rt > 0:
+					opts = append(opts, WithWindowRefill(rt))
+				}
+				want := NewAccountant(p.BudgetSeconds, p.RefillRate(), opts...)
+				a.StartSprint(a.last + 1)
+				a.ResetFor(p)
+				if a != *want {
+					t.Fatalf("ResetFor(%+v) = %+v, want %+v", p, a, *want)
+				}
+				if got := *ForPolicy(p); got != *want {
+					t.Fatalf("ForPolicy(%+v) = %+v, want %+v", p, got, *want)
+				}
+			}
+		}
+	}
+}
