@@ -23,6 +23,16 @@ func (d *resultDigest) f(vs ...float64) {
 
 func (d *resultDigest) i(v int) { d.u(uint64(v)) }
 
+func (d *resultDigest) flag(vs ...bool) {
+	for _, v := range vs {
+		if v {
+			d.i(1)
+		} else {
+			d.i(0)
+		}
+	}
+}
+
 func (d *resultDigest) s(v string) {
 	d.i(len(v))
 	d.b = append(d.b, v...)
@@ -104,4 +114,33 @@ func (d *resultDigest) disciplines(r DisciplineSweepResult) {
 		d.i(o.Evaluations)
 	}
 	d.i(r.Best)
+}
+
+func (d *resultDigest) fig1(r Fig1Result) {
+	for _, s := range r.Settings {
+		d.f(s.Timeout, s.MeanRT)
+		d.i(s.Sprinted)
+		d.i(len(s.Timeline))
+		for _, q := range s.Timeline {
+			d.i(q.ID)
+			d.s(q.Class)
+			d.f(q.Arrival, q.Start, q.Depart, q.ServiceTime, q.SprintTau, q.SprintSeconds)
+			d.flag(q.TimedOut, q.Sprinted, q.Warm)
+		}
+	}
+	d.f(r.BestTimeout, r.WorstTimeout, r.Improvement)
+}
+
+func (d *resultDigest) table1C(r Table1CResult) {
+	for _, row := range r.Rows {
+		d.s(row.Workload)
+		d.f(row.PaperSustainedQPH, row.PaperBurstQPH, row.MeasuredSustainedQPH, row.MeasuredBurstQPH)
+	}
+}
+
+func (d *resultDigest) mmk(r MMKResult) {
+	for _, row := range r.Rows {
+		d.f(row.Rho, row.Analytic, row.Simulated, row.RelError)
+	}
+	d.f(r.MedianError)
 }

@@ -56,6 +56,9 @@ func TestFig1TimeoutSensitivity(t *testing.T) {
 			t.Fatal("missing timeline records")
 		}
 	}
+	var d resultDigest
+	d.fig1(r)
+	d.check(t, "Figure 1", 0x1a51805832fd6bea)
 	_ = r.Table().String()
 }
 
@@ -67,6 +70,9 @@ func TestTable1CWithinTolerance(t *testing.T) {
 	if e := r.MaxRelError(); e > 0.12 {
 		t.Fatalf("measured throughput deviates %v from Table 1(C)", e)
 	}
+	var d resultDigest
+	d.table1C(r)
+	d.check(t, "Table 1(C)", 0x26e6dd26b1aad324)
 	_ = r.Table().String()
 }
 
@@ -187,6 +193,9 @@ func TestMMKValidation(t *testing.T) {
 	if r.MedianError > 0.06 {
 		t.Fatalf("M/M/1 median error %v (paper reports 5%%)", r.MedianError)
 	}
+	var d resultDigest
+	d.mmk(r)
+	d.check(t, "M/M/1", 0xdc9f12b48afe9299)
 	_ = r.Table().String()
 }
 
