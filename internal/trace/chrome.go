@@ -74,17 +74,7 @@ func WriteChromeTrace(w io.Writer, spans []obs.SpanData) error {
 // SaveChromeTrace writes spans to path in Chrome trace-event format
 // (creating directories), ready to open in chrome://tracing or Perfetto.
 func SaveChromeTrace(path string, spans []obs.SpanData) error {
-	w, err := CreateEventLog(path)
-	if err != nil {
-		return err
-	}
-	w.mu.Lock()
-	werr := WriteChromeTrace(w.bw, spans)
-	w.mu.Unlock()
-	if cerr := w.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
+	return writeFile(path, func(w io.Writer) error { return WriteChromeTrace(w, spans) })
 }
 
 // LoadChromeTrace reads a trace written by WriteChromeTrace and

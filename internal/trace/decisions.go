@@ -11,30 +11,7 @@ import (
 // SaveDecisions writes a decision ledger's records as JSONL, one
 // DecisionRecord per line in ledger order.
 func SaveDecisions(path string, recs []online.DecisionRecord) error {
-	w, err := CreateEventLog(path)
-	if err != nil {
-		return err
-	}
-	for _, r := range recs {
-		w.line(r)
-	}
-	return w.Close()
-}
-
-// line appends v as one JSON line.
-func (w *EventWriter) line(v any) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return
-	}
-	data, err := json.Marshal(v)
-	if err == nil {
-		_, err = w.bw.Write(append(data, '\n'))
-	}
-	if err != nil {
-		w.err = err
-	}
+	return writeFile(path, func(w io.Writer) error { return writeLines(w, recs) })
 }
 
 // LoadDecisions reads a JSONL decision log back into records.

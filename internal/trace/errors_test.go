@@ -2,6 +2,7 @@ package trace
 
 import (
 	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -9,12 +10,13 @@ import (
 	"testing"
 
 	"mdsprint/internal/obs"
+	"mdsprint/internal/online"
 )
 
-// These tests pin the sink error paths: unusable paths, marshal failures,
-// sticky write errors. The hot-path contract is that a failed sink goes
-// quiet (Event/line become no-ops) and the first error surfaces at
-// Flush/Close, never mid-run.
+// These tests pin the savers' error paths: unusable paths, marshal
+// failures, and write, flush and close failures of the file underneath.
+// Every error reaches the caller, and a failed save leaves the target
+// as it was.
 
 // blockedPath returns a path whose parent is a regular file, so both
 // MkdirAll and Create must fail under it.
@@ -39,9 +41,14 @@ func TestSaveSinksRejectUnusablePaths(t *testing.T) {
 	if err := SaveDecisions(p, nil); err == nil {
 		t.Error("SaveDecisions accepted a path under a regular file")
 	}
-	// A directory as the target file fails at Create rather than MkdirAll.
-	if _, err := CreateEventLog(t.TempDir()); err == nil {
-		t.Error("CreateEventLog accepted an existing directory as the file")
+	// A directory as the target file fails at the rename, after the
+	// temporary file was written; that file is removed again.
+	dir := t.TempDir()
+	if err := SaveEvents(dir, []obs.QueryEvent{{Type: "arrival"}}); err == nil {
+		t.Error("SaveEvents accepted an existing directory as the file")
+	}
+	if _, err := os.Stat(dir + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("failed save left its temporary file: %v", err)
 	}
 }
 
@@ -52,39 +59,101 @@ func TestLoadersRejectMissingFiles(t *testing.T) {
 	}
 }
 
-// failWriter errors on every write, standing in for a full disk.
-type failWriter struct{}
+// failFile stands in for a file on a full disk: writes fail once more
+// than okBytes have been written, and Close fails when closeErr is set.
+type failFile struct {
+	okBytes  int
+	closeErr error
+	closed   bool
+}
 
-func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+func (f *failFile) Write(p []byte) (int, error) {
+	if len(p) > f.okBytes {
+		return 0, errors.New("disk full")
+	}
+	f.okBytes -= len(p)
+	return len(p), nil
+}
 
-func TestEventWriterStickyError(t *testing.T) {
-	w := NewEventWriter(failWriter{})
-	w.Event(obs.QueryEvent{Type: "arrival", Time: 1})
-	// The event fits bufio's buffer, so the failure lands at Flush.
-	if err := w.Flush(); err == nil || !strings.Contains(err.Error(), "disk full") {
-		t.Fatalf("Flush error %v, want the writer's", err)
+func (f *failFile) Close() error {
+	f.closed = true
+	return f.closeErr
+}
+
+// TestWriteBufferedReturnsEveryError feeds the savers' buffered writer a
+// failing file: a write that spills the buffer, the final flush, the
+// close, and the body's own marshal error each reach the caller, and the
+// file is closed on every path.
+func TestWriteBufferedReturnsEveryError(t *testing.T) {
+	lines := func(recs []online.DecisionRecord) func(io.Writer) error {
+		return func(w io.Writer) error { return writeLines(w, recs) }
 	}
-	// The error is sticky: further events no-op, further flushes re-report.
-	w.Event(obs.QueryEvent{Type: "departure", Time: 2})
-	w.line(obs.SpanData{ID: 1})
-	if err := w.Flush(); err == nil || !strings.Contains(err.Error(), "disk full") {
-		t.Fatalf("second Flush error %v, want the sticky first error", err)
+	many := make([]online.DecisionRecord, 200) // far more than bufio's 4 KiB buffer
+	closeErr := errors.New("close failed")
+	for _, c := range []struct {
+		name string
+		f    *failFile
+		body func(io.Writer) error
+		want string
+	}{
+		{"write", &failFile{}, lines(many), "disk full"},
+		{"flush", &failFile{}, lines(sampleDecisions()), "disk full"},
+		{"close", &failFile{okBytes: 1 << 20, closeErr: closeErr}, lines(sampleDecisions()), "close failed"},
+		{"marshal", &failFile{okBytes: 1 << 20}, lines([]online.DecisionRecord{{Rate: math.NaN()}}), "unsupported value"},
+	} {
+		err := writeBuffered(c.f, c.body)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
+		}
+		if !c.f.closed {
+			t.Errorf("%s: file left open", c.name)
+		}
 	}
-	if err := w.Close(); err == nil {
-		t.Fatal("Close swallowed the sticky error")
+	if err := writeBuffered(&failFile{okBytes: 1 << 20}, lines(many)); err != nil {
+		t.Fatalf("healthy file: %v", err)
 	}
 }
 
-func TestEventWriterMarshalFailurePoisons(t *testing.T) {
-	// NaN is not representable in JSON, so Marshal fails before any write.
-	w := NewEventWriter(&strings.Builder{})
-	w.Event(obs.QueryEvent{Type: "arrival", Value: math.NaN()})
-	if err := w.Flush(); err == nil {
-		t.Fatal("NaN event did not poison the writer")
+// TestSaveFailureLeavesTargetIntact: a save that fails part way (a NaN
+// is not representable in JSON) keeps the previous file's bytes and
+// removes its temporary file.
+func TestSaveFailureLeavesTargetIntact(t *testing.T) {
+	dir := t.TempDir()
+	events := filepath.Join(dir, "events.jsonl")
+	if err := SaveEvents(events, []obs.QueryEvent{{Type: "arrival", Time: 1}}); err != nil {
+		t.Fatal(err)
 	}
-	w2 := NewEventWriter(&strings.Builder{})
-	w2.line(map[string]float64{"nan": math.NaN()})
-	if err := w2.Close(); err == nil {
-		t.Fatal("NaN line did not poison the writer")
+	decisions := filepath.Join(dir, "decisions.jsonl")
+	if err := SaveDecisions(decisions, sampleDecisions()); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		path string
+		save func() error
+	}{
+		{events, func() error {
+			return SaveEvents(events, []obs.QueryEvent{{Type: "arrival", Time: 2}, {Type: "arrival", Value: math.NaN()}})
+		}},
+		{decisions, func() error {
+			return SaveDecisions(decisions, append(sampleDecisions(), online.DecisionRecord{Rate: math.NaN()}))
+		}},
+	} {
+		before, err := os.ReadFile(c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.save(); err == nil {
+			t.Fatalf("%s: NaN saved without error", c.path)
+		}
+		after, err := os.ReadFile(c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(after) != string(before) {
+			t.Errorf("%s: failed save changed the file:\n%s\nwas\n%s", c.path, after, before)
+		}
+		if _, err := os.Stat(c.path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: failed save left its temporary file: %v", c.path, err)
+		}
 	}
 }

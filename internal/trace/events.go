@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"sync"
 
 	"mdsprint/internal/obs"
 )
@@ -18,17 +16,10 @@ import (
 
 // SaveEvents writes events to path as JSONL (creating directories).
 func SaveEvents(path string, events []obs.QueryEvent) error {
-	w, err := CreateEventLog(path)
-	if err != nil {
-		return err
-	}
-	for _, e := range events {
-		w.Event(e)
-	}
-	return w.Close()
+	return writeFile(path, func(w io.Writer) error { return writeLines(w, events) })
 }
 
-// LoadEvents reads a JSONL event log written by SaveEvents or EventWriter.
+// LoadEvents reads a JSONL event log written by SaveEvents.
 func LoadEvents(path string) ([]obs.QueryEvent, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -46,80 +37,4 @@ func LoadEvents(path string) ([]obs.QueryEvent, error) {
 		}
 		events = append(events, e)
 	}
-}
-
-// EventWriter is a streaming JSONL sink implementing obs.QueryTracer: each
-// Event appends one line. It is safe for concurrent use (parallel
-// simulator replications may share it); lines are written atomically but
-// their interleaving follows goroutine scheduling.
-type EventWriter struct {
-	mu     sync.Mutex
-	bw     *bufio.Writer
-	closer io.Closer // underlying file, when file-backed
-	err    error     // first write error, surfaced by Close
-}
-
-// NewEventWriter streams events to w.
-func NewEventWriter(w io.Writer) *EventWriter {
-	return &EventWriter{bw: bufio.NewWriter(w)}
-}
-
-// CreateEventLog creates (or truncates) a JSONL event log at path.
-func CreateEventLog(path string) (*EventWriter, error) {
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("trace: %w", err)
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	w := NewEventWriter(f)
-	w.closer = f
-	return w, nil
-}
-
-// Event appends e as one JSON line.
-func (w *EventWriter) Event(e obs.QueryEvent) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return
-	}
-	//lint:ignore hotalloc opt-in JSON tracer: traced runs trade allocations for event capture; alloc-free benchmarks run untraced
-	data, err := json.Marshal(e)
-	if err == nil {
-		//lint:ignore hotalloc same trade: the marshal buffer is the event record
-		_, err = w.bw.Write(append(data, '\n'))
-	}
-	if err != nil {
-		w.err = err
-	}
-}
-
-// Flush drains the write buffer.
-func (w *EventWriter) Flush() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return fmt.Errorf("trace: %w", w.err)
-	}
-	if err := w.bw.Flush(); err != nil {
-		w.err = err
-		return fmt.Errorf("trace: %w", err)
-	}
-	return nil
-}
-
-// Close flushes and closes the underlying file (when file-backed),
-// returning the first error encountered over the writer's lifetime.
-func (w *EventWriter) Close() error {
-	flushErr := w.Flush()
-	if w.closer != nil {
-		if err := w.closer.Close(); err != nil && flushErr == nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-	}
-	return flushErr
 }

@@ -6,9 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"mdsprint/internal/dist"
 	"mdsprint/internal/obs"
-	"mdsprint/internal/queuesim"
 )
 
 func TestSaveLoadEventsRoundTrip(t *testing.T) {
@@ -55,29 +53,11 @@ func TestLoadEventsMissingFile(t *testing.T) {
 	}
 }
 
-func TestEventWriterStreamsSimulatorRun(t *testing.T) {
-	// Acceptance check from the issue: a traced seeded run exported as
-	// JSONL has exactly one departure per simulated query.
+func TestSaveEventsSimulatorRun(t *testing.T) {
+	// A traced seeded run exported as JSONL has exactly one arrival and
+	// one departure per simulated query.
 	path := filepath.Join(t.TempDir(), "run.jsonl")
-	w, err := CreateEventLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const queries = 300
-	mu := 0.02
-	_, err = queuesim.Run(queuesim.Params{
-		ArrivalRate: 0.8 * mu,
-		Service:     dist.LogNormalFromMeanCV(1/mu, 0.3),
-		ServiceRate: mu,
-		SprintRate:  1.6 * mu,
-		Timeout:     60, BudgetSeconds: 300, RefillTime: 200,
-		NumQueries: queries, Warmup: 0, Seed: 7,
-		Tracer: w,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
+	if err := SaveEvents(path, simulatorEvents(t)); err != nil {
 		t.Fatal(err)
 	}
 	events, err := LoadEvents(path)
@@ -88,28 +68,16 @@ func TestEventWriterStreamsSimulatorRun(t *testing.T) {
 	for _, e := range events {
 		counts[e.Type]++
 	}
-	if counts[obs.EvDeparture] != queries {
-		t.Fatalf("%d departures in the log, want %d (counts %v)", counts[obs.EvDeparture], queries, counts)
+	if counts[obs.EvDeparture] != simQueries {
+		t.Fatalf("%d departures in the log, want %d (counts %v)", counts[obs.EvDeparture], simQueries, counts)
 	}
-	if counts[obs.EvArrival] != queries {
-		t.Fatalf("%d arrivals in the log, want %d", counts[obs.EvArrival], queries)
+	if counts[obs.EvArrival] != simQueries {
+		t.Fatalf("%d arrivals in the log, want %d", counts[obs.EvArrival], simQueries)
 	}
 	if counts[obs.EvSprintStart] == 0 {
 		t.Fatal("no sprints in a sprinting scenario")
 	}
 	if counts[obs.EvSprintStart] != counts[obs.EvSprintStop] {
 		t.Fatalf("%d sprint starts vs %d stops", counts[obs.EvSprintStart], counts[obs.EvSprintStop])
-	}
-}
-
-func TestEventWriterFlushAndReuse(t *testing.T) {
-	var sb strings.Builder
-	w := NewEventWriter(&sb)
-	w.Event(obs.QueryEvent{Type: obs.EvArrival, Time: 1, Query: 0})
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), `"arrival"`) {
-		t.Fatalf("flushed output %q", sb.String())
 	}
 }
