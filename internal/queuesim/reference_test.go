@@ -149,25 +149,17 @@ func runReference(p Params) (*Result, error) {
 	if arr == nil {
 		arr = dist.ForRate(p.ArrivalKind, p.ArrivalRate)
 	}
-	var acctOpts []sprint.AccountantOption
-	switch p.Refill {
-	case sprint.RefillPaused:
-		acctOpts = append(acctOpts, sprint.WithPausedRefill())
-	case sprint.RefillWindow:
-		if p.RefillTime > 0 {
-			acctOpts = append(acctOpts, sprint.WithWindowRefill(p.RefillTime))
-		}
-	}
 	s := &refState{
 		p:       p,
 		eng:     &refEngine{},
 		rng:     dist.NewRNG(p.Seed),
 		arr:     arr,
-		acct:    sprint.NewAccountant(p.BudgetSeconds, p.budget().RefillRate(), acctOpts...),
+		acct:    new(sprint.Accountant),
 		speedup: p.speedup(),
 		tr:      p.Tracer,
 		free:    p.Slots,
 	}
+	s.acct.ResetFor(p.budget())
 	total := p.NumQueries + p.Warmup
 	if total == 0 {
 		return &s.res, nil

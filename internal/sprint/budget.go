@@ -37,64 +37,13 @@ type Accountant struct {
 	idleSince float64 // when sprinting last dropped to zero
 }
 
-// AccountantOption configures a new Accountant.
-type AccountantOption func(*Accountant)
-
-// WithPausedRefill makes accrual pause while any sprint is active.
-func WithPausedRefill() AccountantOption {
-	return func(a *Accountant) { a.pauseWhileSprinting = true }
-}
-
-// WithSoftBudget allows the budget level to go negative (overdraft).
-func WithSoftBudget() AccountantOption {
-	return func(a *Accountant) { a.soft = true }
-}
-
-// WithInitialLevel starts the bucket at level instead of full capacity.
-func WithInitialLevel(level float64) AccountantOption {
-	return func(a *Accountant) { a.level = level }
-}
-
-// WithWindowRefill switches to window semantics: the level snaps to full
-// capacity after window seconds with no sprinting; rate accrual is
-// disabled.
-func WithWindowRefill(window float64) AccountantOption {
-	if window <= 0 {
-		panic("sprint: WithWindowRefill requires a positive window")
-	}
-	return func(a *Accountant) { a.windowRefill = window }
-}
-
-// NewAccountant returns an accountant with the given capacity
-// (sprint-seconds) and refill rate (sprint-seconds per second). The bucket
-// starts full unless WithInitialLevel overrides it.
-func NewAccountant(capacity, refillRate float64, opts ...AccountantOption) *Accountant {
-	if capacity < 0 || refillRate < 0 || math.IsNaN(capacity) || math.IsNaN(refillRate) {
-		panic(fmt.Sprintf("sprint: invalid accountant capacity=%v refill=%v", capacity, refillRate))
-	}
-	a := &Accountant{capacity: capacity, refillRate: refillRate, level: capacity}
-	for _, opt := range opts {
-		opt(a)
-	}
-	if a.level > a.capacity {
-		a.level = a.capacity
-	}
-	return a
-}
-
-// ForPolicy builds an accountant implementing p's budget clause.
-func ForPolicy(p Policy) *Accountant {
-	a := new(Accountant)
-	a.ResetFor(p)
-	return a
-}
-
 // ResetFor reinitializes a in place, full at virtual time zero, to
 // implement p's budget clause: capacity p.BudgetSeconds, refill rate
 // p.RefillRate(), refill semantics p.Refill (a RefillWindow policy with
 // no positive refill time keeps rate accrual), and an overdraft when
-// p.Soft. Reusable simulator servers call it instead of ForPolicy to
-// avoid the allocation.
+// p.Soft. It is the one mapping from a policy to its accountant, and
+// it does not allocate, so reusable simulator servers reset theirs in
+// place.
 func (a *Accountant) ResetFor(p Policy) {
 	capacity, refillRate := p.BudgetSeconds, p.RefillRate()
 	if capacity < 0 || refillRate < 0 || math.IsNaN(capacity) || math.IsNaN(refillRate) {
@@ -155,9 +104,6 @@ func (a *Accountant) Level(now float64) float64 {
 	a.advance(now)
 	return a.level
 }
-
-// Capacity returns the bucket capacity in sprint-seconds.
-func (a *Accountant) Capacity() float64 { return a.capacity }
 
 // Sprinting returns the number of concurrently sprinting executions.
 func (a *Accountant) Sprinting() int { return a.sprinting }

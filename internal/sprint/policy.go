@@ -8,11 +8,7 @@
 // quotes throughput in queries per hour (qph); use QPH/ToQPH to convert.
 package sprint
 
-import (
-	"errors"
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // QPH converts queries-per-hour (the paper's throughput unit) to
 // queries-per-second (this repository's internal rate unit).
@@ -101,24 +97,6 @@ func (p Policy) RefillRate() float64 {
 	return p.BudgetSeconds / p.RefillTime
 }
 
-// Validate checks the policy for internally inconsistent settings.
-func (p Policy) Validate() error {
-	var errs []error
-	if math.IsNaN(p.Timeout) || math.IsInf(p.Timeout, 0) {
-		errs = append(errs, errors.New("timeout must be finite"))
-	}
-	if p.BudgetSeconds < 0 || math.IsNaN(p.BudgetSeconds) {
-		errs = append(errs, errors.New("budget must be non-negative"))
-	}
-	if p.RefillTime < 0 || math.IsNaN(p.RefillTime) {
-		errs = append(errs, errors.New("refill time must be non-negative"))
-	}
-	if p.Speedup < 1 || math.IsNaN(p.Speedup) {
-		errs = append(errs, fmt.Errorf("speedup %v must be >= 1", p.Speedup))
-	}
-	return errors.Join(errs...)
-}
-
 func (p Policy) String() string {
 	return fmt.Sprintf("Policy{timeout=%.4gs budget=%.4gs refill=%.4gs speedup=%.3gx soft=%v}",
 		p.Timeout, p.BudgetSeconds, p.RefillTime, p.Speedup, p.Soft)
@@ -134,12 +112,4 @@ func BudgetFromPercent(pct, refillTime float64) float64 {
 		panic("sprint: BudgetFromPercent requires non-negative arguments")
 	}
 	return pct * refillTime
-}
-
-// PercentFromBudget is the inverse of BudgetFromPercent.
-func PercentFromBudget(budgetSeconds, refillTime float64) float64 {
-	if refillTime <= 0 {
-		return 0
-	}
-	return budgetSeconds / refillTime
 }
