@@ -39,13 +39,6 @@ type Mechanism interface {
 	MarginalSpeedup(c *workload.Class) float64
 }
 
-// Curve builds the sprint curve for a (mechanism, class) pair: how the
-// class's phase profile modulates this mechanism's marginal speedup across
-// execution progress.
-func Curve(m Mechanism, c *workload.Class) *workload.SprintCurve {
-	return workload.NewSprintCurve(c.Phases.Shape(m.ParallelismBased()), m.MarginalSpeedup(c))
-}
-
 // DVFS is the paper's primary platform: a 16-core Xeon 2660 with Pupil
 // power capping; sprinting raises the power cap from 44-70 W to 90-190 W.
 // Table 1(C)'s throughput columns were measured on this mechanism, so it

@@ -127,8 +127,11 @@ func TestCurveIntegratesPhaseAndSpeedup(t *testing.T) {
 	jacobi := workload.MustByName("Jacobi")
 	// Under DVFS (frequency-based) Jacobi's curve is position-
 	// independent; under core scaling the Amdahl tail bites.
-	dvfs := Curve(DVFS{}, jacobi)
-	cs := Curve(CoreScale{}, jacobi)
+	curve := func(m Mechanism) *workload.SprintCurve {
+		return workload.NewSprintCurve(jacobi.Phases.Shape(m.ParallelismBased()), m.MarginalSpeedup(jacobi))
+	}
+	dvfs := curve(DVFS{})
+	cs := curve(CoreScale{})
 	if got := dvfs.EffectiveSpeedupFrom(0.95); math.Abs(got-jacobi.DVFSSpeedup()) > 0.02 {
 		t.Errorf("DVFS late-sprint speedup %v, want ~%v", got, jacobi.DVFSSpeedup())
 	}

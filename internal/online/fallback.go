@@ -155,12 +155,6 @@ func (f *FallbackController) Counts() (demotions, promotions int) {
 	return f.demotions, f.promotions
 }
 
-// LastGoodTimeout returns the static-tier timeout, and whether one has
-// been banked yet.
-func (f *FallbackController) LastGoodTimeout() (float64, bool) {
-	return f.lastGoodTO, f.haveGood
-}
-
 // TimeoutCtx returns the sprint timeout for the estimated arrival rate,
 // routed through the level currently in force. A failing search is
 // itself a health signal: the controller demotes and retries down the

@@ -76,7 +76,7 @@ func TestNewFallbackControllerValidation(t *testing.T) {
 	if fc.Level() != LevelHybrid {
 		t.Errorf("fresh controller at level %s, want hybrid", fc.Level())
 	}
-	if _, ok := fc.LastGoodTimeout(); ok {
+	if fc.haveGood {
 		t.Error("fresh controller claims a banked timeout")
 	}
 }
@@ -132,8 +132,8 @@ func TestStaticTierServesBankedTimeout(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		fc.Observe(1.0, 10)
 	}
-	banked, ok := fc.LastGoodTimeout()
-	if !ok {
+	banked := fc.lastGoodTO
+	if !fc.haveGood {
 		t.Fatal("healthy evidence did not bank a last-known-good timeout")
 	}
 	if banked < to || banked > to {

@@ -83,20 +83,6 @@ type Setting struct {
 	Speedup float64
 }
 
-// Condition embeds the setting into a profiler condition at the context's
-// workload conditions.
-func (s Setting) Condition(c Context) profiler.Condition {
-	cc := c.withDefaults()
-	return profiler.Condition{
-		Utilization: cc.ArrivalRate / cc.Dataset.ServiceRate,
-		ArrivalKind: cc.ArrivalKind,
-		Timeout:     s.Timeout,
-		RefillTime:  cc.RefillTime,
-		BudgetPct:   s.BudgetPct,
-		Speedup:     s.Speedup,
-	}
-}
-
 // simParams builds simulator parameters for a setting, at the given
 // sprint rate.
 func simParams(c Context, timeout, budgetPct, sprintRate float64) queuesim.Params {
@@ -201,27 +187,6 @@ func normalSpeedQuantile(c Context, q float64) float64 {
 	p.ServiceRate = c.Dataset.MarginalRate
 	res := queuesim.MustRun(p)
 	return stats.Quantile(res.RTs, q)
-}
-
-// ExpectedRT evaluates a setting's mean response time under the model
-// simulator at the given sprint rate (pass the marginal or effective rate
-// from the caller's model).
-func ExpectedRT(c Context, s Setting, sprintRate float64) float64 {
-	cc := c.withDefaults()
-	rate := sprintRate
-	if s.Speedup > 0 {
-		if cap := s.Speedup * cc.Dataset.ServiceRate; cap < rate {
-			rate = cap
-		}
-	}
-	mean, err := cc.meanRT(sweep.Task{
-		Params: simParams(cc, s.Timeout, s.BudgetPct, rate),
-		Reps:   cc.SimReps,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("policies: %v", err))
-	}
-	return mean
 }
 
 // meanRT scores one task through the tier estimator when the context

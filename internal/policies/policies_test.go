@@ -105,37 +105,25 @@ func TestAdrenalineTimeoutIsTailPercentile(t *testing.T) {
 	}
 }
 
+// expectedRT scores a setting's mean response time at sprintRate
+// through c.meanRT, the path JointSearch scores its candidates on.
+func expectedRT(t *testing.T, c Context, s Setting, sprintRate float64) float64 {
+	t.Helper()
+	c = c.withDefaults()
+	mean, err := c.meanRT(sweep.Task{Params: simParams(c, s.Timeout, s.BudgetPct, sprintRate), Reps: c.SimReps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mean
+}
+
 func TestExpectedRTOrdersPolicies(t *testing.T) {
 	c := throttledJacobi(t)
 	// Sprinting at the marginal rate must beat no sprinting at all.
-	noSprint := ExpectedRT(c, Setting{Timeout: -1}, 0)
-	big := ExpectedRT(c, BigBurst(c), c.Dataset.MarginalRate)
+	noSprint := expectedRT(t, c, Setting{Timeout: -1}, 0)
+	big := expectedRT(t, c, BigBurst(c), c.Dataset.MarginalRate)
 	if big >= noSprint {
 		t.Fatalf("big-burst RT %v >= no-sprint RT %v", big, noSprint)
-	}
-}
-
-func TestExpectedRTRespectsCommandedSpeedup(t *testing.T) {
-	c := throttledJacobi(t)
-	small := SmallBurst(c)
-	// Commanded speedup caps the rate: expected RT with a tiny
-	// commanded speedup approaches the no-sprint RT.
-	slow := ExpectedRT(c, Setting{Timeout: 0, BudgetPct: 0.3, Speedup: 1.05}, c.Dataset.MarginalRate)
-	fast := ExpectedRT(c, Setting{Timeout: 0, BudgetPct: small.BudgetPct, Speedup: 0}, c.Dataset.MarginalRate)
-	if fast >= slow {
-		t.Fatalf("full-rate RT %v >= speedup-1.05 RT %v", fast, slow)
-	}
-}
-
-func TestSettingCondition(t *testing.T) {
-	c := throttledJacobi(t)
-	s := Setting{Name: "x", Timeout: 42, BudgetPct: 0.25, Speedup: 2}
-	cond := s.Condition(c)
-	if cond.Timeout != 42 || cond.BudgetPct != 0.25 || cond.Speedup != 2 {
-		t.Fatalf("condition %+v", cond)
-	}
-	if cond.RefillTime != c.RefillTime {
-		t.Fatalf("refill %v", cond.RefillTime)
 	}
 }
 
@@ -159,15 +147,15 @@ func TestThrottleMatchesSection43Rates(t *testing.T) {
 	}
 }
 
-// TestExpectedRTViaTiers checks the tiered path answers within its
-// advertised error bound of the direct engine evaluation, and that the
-// estimator actually saw the queries.
+// TestExpectedRTViaTiers checks that meanRT's tiered path answers within
+// its advertised error bound of the direct engine evaluation, and that
+// the estimator actually saw the queries.
 func TestExpectedRTViaTiers(t *testing.T) {
 	c := throttledJacobi(t)
 	s := BigBurst(c)
 	rate := c.Dataset.MarginalRate
 
-	full := ExpectedRT(c, s, rate)
+	full := expectedRT(t, c, s, rate)
 
 	tc := c
 	var err error
@@ -178,10 +166,10 @@ func TestExpectedRTViaTiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiered := ExpectedRT(tc, s, rate)
+	tiered := expectedRT(t, tc, s, rate)
 
 	if rel := math.Abs(tiered-full) / full; rel > tc.Tiers.Spec().Bound {
-		t.Fatalf("tiered ExpectedRT %v vs full %v: relative error %.3f exceeds bound", tiered, full, rel)
+		t.Fatalf("tiered mean RT %v vs full %v: relative error %.3f exceeds bound", tiered, full, rel)
 	}
 	if st := tc.Tiers.Stats(); st.Answers == 0 {
 		t.Fatal("tier estimator saw no queries")

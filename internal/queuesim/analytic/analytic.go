@@ -31,7 +31,7 @@ import (
 	"mdsprint/internal/queuesim"
 )
 
-// Applicability rejections. Static values so the estimator's rejection
+// MeanRT's rejections. Static values so the estimator's rejection
 // path stays allocation-free; errors.Is works against each.
 var (
 	// ErrSprinting: sprint timeouts/budgets have no closed form — the
@@ -228,11 +228,4 @@ func MeanRT(p queuesim.Params) (float64, error) {
 	default: // SERPT and any future discipline
 		return 0, ErrDiscipline
 	}
-}
-
-// Applicability reports whether MeanRT can answer p, as the typed
-// rejection (nil means a closed form applies).
-func Applicability(p queuesim.Params) error {
-	_, err := MeanRT(p)
-	return err
 }

@@ -239,14 +239,11 @@ func TestRejections(t *testing.T) {
 			if _, err := analytic.MeanRT(p); !errors.Is(err, tc.want) {
 				t.Fatalf("MeanRT rejection = %v, want %v", err, tc.want)
 			}
-			if err := analytic.Applicability(p); !errors.Is(err, tc.want) {
-				t.Fatalf("Applicability = %v, want %v", err, tc.want)
-			}
 		})
 	}
 	// And the happy path: an eligible config reports nil.
 	p := base()
-	if err := analytic.Applicability(p); err != nil {
+	if _, err := analytic.MeanRT(p); err != nil {
 		t.Fatalf("eligible config rejected: %v", err)
 	}
 }

@@ -157,38 +157,3 @@ func (c *Client) Fault(ctx context.Context, req FaultRequest) error {
 func (c *Client) Reload(ctx context.Context, cfgs []TenantConfig) error {
 	return c.post(ctx, "/v1/reload", ReloadRequest{Tenants: cfgs}, nil)
 }
-
-// Tenants lists the daemon's tenants.
-func (c *Client) Tenants(ctx context.Context) ([]TenantStatus, error) {
-	url := strings.TrimSuffix(c.BaseURL, "/") + "/v1/tenants"
-	var out []TenantStatus
-	err := c.plan().do(ctx, func(int) outcome {
-		actx, cancel := context.WithTimeout(ctx, c.attemptTimeout())
-		defer cancel()
-		req, err := http.NewRequestWithContext(actx, http.MethodGet, url, nil)
-		if err != nil {
-			return outcome{err: err}
-		}
-		resp, err := c.httpClient().Do(req)
-		if err != nil {
-			return outcome{err: err, retryable: ctx.Err() == nil}
-		}
-		defer func() {
-			//lint:ignore errdrop response body close after a full read
-			_ = resp.Body.Close()
-		}()
-		if resp.StatusCode != http.StatusOK {
-			return outcome{
-				err:       fmt.Errorf("server: /v1/tenants: %s", resp.Status),
-				retryable: resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests,
-				minDelay:  retryAfter(resp),
-			}
-		}
-		out = out[:0]
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			return outcome{err: fmt.Errorf("server: decoding /v1/tenants: %w", err)}
-		}
-		return outcome{}
-	})
-	return out, err
-}

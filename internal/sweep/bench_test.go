@@ -11,7 +11,7 @@ import (
 // benchGrid is the fig10 grid at its default (quick) scale: 36 policy
 // points, 2 replications each. BENCH_sweep.json records these numbers;
 // regenerate with `make bench-sweep`.
-func benchGrid() []Task { return DefaultGrid().Tasks() }
+func benchGrid() []Task { return gridTasks(400) }
 
 // BenchmarkSweepSerial evaluates the grid on one worker with memoization
 // off — the pre-engine baseline every consumer used to pay per sweep.

@@ -136,9 +136,6 @@ func New(o Options) *Engine {
 	return e
 }
 
-// Workers returns the engine's worker-pool bound.
-func (e *Engine) Workers() int { return e.workers }
-
 var (
 	sharedOnce sync.Once
 	sharedEng  *Engine

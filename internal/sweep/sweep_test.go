@@ -13,11 +13,7 @@ import (
 )
 
 // testGrid is a small but non-trivial fig10-style grid (36 points).
-func testGrid() []Task {
-	g := DefaultGrid()
-	g.NumQueries = 200
-	return g.Tasks()
-}
+func testGrid() []Task { return gridTasks(200) }
 
 // bitsOf projects a prediction onto its exact float64 bit patterns so
 // differential tests compare bit-for-bit, not approximately.

@@ -225,10 +225,6 @@ func New(spec Spec, o Options) (*Estimator, error) {
 // Spec returns the resolved spec.
 func (e *Estimator) Spec() Spec { return e.spec }
 
-// Engine returns the sweep engine backing the cache, short and full
-// tiers.
-func (e *Estimator) Engine() *sweep.Engine { return e.eng }
-
 // Stats is a point-in-time snapshot of the estimator's counters.
 type Stats struct {
 	// Answers is every query served; Analytic..Full partition it by

@@ -82,7 +82,7 @@ func TestAnalyticTierServes(t *testing.T) {
 	if !(dec.ErrEstimate > 0 && dec.ErrEstimate <= dec.Bound) {
 		t.Fatalf("ErrEstimate %v outside (0, %v]", dec.ErrEstimate, dec.Bound)
 	}
-	if s := est.Engine().Stats(); s.Tasks != 0 {
+	if s := est.eng.Stats(); s.Tasks != 0 {
 		t.Fatalf("analytic answer touched the engine: %+v", s)
 	}
 	if s := est.Stats(); s.Answers != 1 || s.Analytic != 1 {
@@ -421,7 +421,7 @@ func TestAnalyticAgreesWithEngine(t *testing.T) {
 		if dec.Tier != TierAnalytic {
 			t.Fatalf("lambda %v: tier %v, want analytic", lambda, dec.Tier)
 		}
-		truth, err := est.Engine().Evaluate(task)
+		truth, err := est.eng.Evaluate(task)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -442,7 +442,7 @@ func TestNewValidates(t *testing.T) {
 }
 
 // TestAnalyticApplicabilityAgreement: the tier's gate and the analytic
-// package agree — whenever analytic.Applicability accepts a no-tracer
+// package agree — whenever analytic.MeanRT accepts a no-tracer
 // task, a fresh default estimator with a loose bound serves it
 // analytically.
 func TestAnalyticApplicabilityAgreement(t *testing.T) {
@@ -461,7 +461,8 @@ func TestAnalyticApplicabilityAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eligible := analytic.Applicability(task.Params) == nil
+		_, aerr := analytic.MeanRT(task.Params)
+		eligible := aerr == nil
 		served := dec.Tier == TierAnalytic
 		if eligible != served {
 			t.Fatalf("task %d: applicability %v but tier %v (esc %#x)", i, eligible, dec.Tier, dec.Escalations)
