@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,7 +36,8 @@ var (
 
 // TenantConfig declares one tenant: its synthetic workload surface,
 // its controller tuning, and its robustness budgets. The zero values
-// of the tuning fields take the documented defaults.
+// of the tuning fields take the documented defaults; newTenant rejects
+// negative or non-finite values and oversized queues and ledgers.
 type TenantConfig struct {
 	// Name routes requests; required and unique per server.
 	Name string `json:"name"`
@@ -71,6 +73,44 @@ type TenantConfig struct {
 	// Watchdog tunes the degradation watchdogs (zero values take the
 	// watchdog defaults).
 	Watchdog online.WatchdogConfig `json:"-"`
+}
+
+// Upper bounds on the tenant config fields that size allocations: the
+// admission queue and the decision ledger ring are allocated up front.
+const (
+	maxQueueDepth = 1 << 14
+	maxLedgerCap  = 1 << 20
+)
+
+// validate rejects field values no tenant may run with. A zero field is
+// an omitted one and takes its default; a negative or non-finite one is
+// an error, as is a queue or ledger beyond its cap.
+func (c TenantConfig) validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"service_rate", c.ServiceRate},
+		{"sprint_gain", c.SprintGain},
+		{"sweet_timeout", c.SweetTimeout},
+		{"max_timeout", c.MaxTimeout},
+		{"retune_threshold", c.RetuneThreshold},
+	} {
+		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("server: tenant %s: %s %v must be finite and non-negative", c.Name, f.name, f.v)
+		}
+	}
+	switch {
+	case c.StallAfter < 0:
+		return fmt.Errorf("server: tenant %s: stall_after %v is negative", c.Name, c.StallAfter)
+	case c.AnnealIter < 0:
+		return fmt.Errorf("server: tenant %s: anneal_iter %d is negative", c.Name, c.AnnealIter)
+	case c.QueueDepth < 0 || c.QueueDepth > maxQueueDepth:
+		return fmt.Errorf("server: tenant %s: queue_depth %d out of range [0, %d]", c.Name, c.QueueDepth, maxQueueDepth)
+	case c.LedgerCap < 0 || c.LedgerCap > maxLedgerCap:
+		return fmt.Errorf("server: tenant %s: ledger_cap %d out of range [0, %d]", c.Name, c.LedgerCap, maxLedgerCap)
+	}
+	return nil
 }
 
 func (c TenantConfig) withDefaults() TenantConfig {
@@ -182,6 +222,9 @@ type tenant struct {
 func newTenant(cfg TenantConfig) (*tenant, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("server: tenant needs a name")
+	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	cfg = cfg.withDefaults()
 	reg := obs.NewRegistry()
