@@ -194,3 +194,18 @@ bench-serve:
 .PHONY: bench
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# loc prints Go line counts per package directory and in total: non-test
+# lines (no _test.go files), then test lines. testdata fixtures and the
+# benchmark's build directory are left out of both. Simplicity changes
+# report their per-package deltas from two runs of it.
+.PHONY: loc
+loc:
+	@for d in $$(find . -name '*.go' ! -path '*/testdata/*' ! -path './.bench_build/*' -exec dirname {} \; | sort -u); do \
+		printf '%-36s %7d %7d\n' "$$d" \
+			"$$(find "$$d" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)" \
+			"$$(find "$$d" -maxdepth 1 -name '*_test.go' -exec cat {} + | wc -l)"; \
+	done
+	@printf '%-36s %7d %7d\n' total \
+		"$$(find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.bench_build/*' | xargs cat | wc -l)" \
+		"$$(find . -name '*_test.go' ! -path '*/testdata/*' ! -path './.bench_build/*' | xargs cat | wc -l)"
