@@ -109,6 +109,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSuppressionParse$$' -fuzztime 10s ./internal/lint
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTierSpec$$' -fuzztime 10s ./internal/tier
 	$(GO) test -run '^$$' -fuzz '^FuzzTierEscalation$$' -fuzztime 10s ./internal/tier
+	$(GO) test -run '^$$' -fuzz '^FuzzPooledEngine$$' -fuzztime 10s ./internal/sim
 
 # bench-check runs the benchmark module's tests. cmd/sprintbench is its
 # own Go module, so ./... above skips it; its pinned set-up digests at
@@ -145,13 +146,13 @@ bench-obs:
 
 # alloc-check runs the testing.AllocsPerRun budget tests that pin the
 # simulator hot path at zero steady-state allocations, the testbed's
-# per-run and record-reuse budgets, the profiler's condition replay and
-# forest training's per-split budget. They self-skip
-# under -race (instrumentation allocates), so the merge gate runs them
-# here without it; -count=1 defeats the test cache.
+# per-run and record-reuse budgets, the profiler's condition replay,
+# forest training's per-tree budget and the sweep memo's miss path.
+# They self-skip under -race (instrumentation allocates), so the merge
+# gate runs them here without it; -count=1 defeats the test cache.
 .PHONY: alloc-check
 alloc-check:
-	$(GO) test -count=1 -run 'ZeroAllocs' ./internal/queuesim ./internal/sim ./internal/server ./internal/tier ./internal/testbed ./internal/profiler ./internal/forest
+	$(GO) test -count=1 -run 'ZeroAllocs' ./internal/queuesim ./internal/sim ./internal/server ./internal/tier ./internal/testbed ./internal/profiler ./internal/forest ./internal/sweep
 
 # bench-tier measures the staged RT estimator against always-full
 # evaluation on the mixed stationary query stream (baseline recorded in
@@ -162,12 +163,15 @@ bench-tier:
 	$(GO) test -run '^$$' -bench 'Decide' -benchmem -count 3 ./internal/tier/
 	MDSPRINT_BENCH_TIER=1 $(GO) test -count=1 -run 'TestTierSpeedupBudget' ./internal/tier/
 
-# bench-sim measures the pooled event engine at queuesim's depths
-# (PooledEngine), the simulator hot path against the test-only
-# heap-and-closure reference simulator in queuesim's reference_test.go
-# (the *Reference rows) and the calibration probe that drives it
-# (BenchmarkSimulateRT). Baseline in BENCH_sim.json; the pooled RunReps
-# must stay >=2x faster than the reference.
+# bench-sim measures the pooled event engine at pending-set depths 2 to
+# 256 (PooledEngine; queuesim and the testbed hold about 4 events per
+# server, and only many-server disciplines runs reach the deep rows,
+# where the unsorted set's scan loses to the old heap), the simulator
+# hot path against the test-only heap-and-closure reference simulator in
+# queuesim's reference_test.go (the *Reference rows) and the calibration
+# probe that drives it (BenchmarkSimulateRT). Baseline in
+# BENCH_sim.json; the pooled RunReps must stay >=2x faster than the
+# reference.
 .PHONY: bench-sim
 bench-sim:
 	$(GO) test -run '^$$' -bench 'BenchmarkPooledEngine' -benchmem ./internal/sim/

@@ -67,26 +67,27 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// node is one tree node: either an internal split or a leaf fit.
+// node is one tree node: either an internal split or a leaf fit. A
+// tree's nodes sit in one slice in preorder, so an internal node's left
+// child is the node after it and right indexes its right child.
 type node struct {
 	// Internal nodes.
 	feature   int
 	threshold float64
-	left      *node
-	right     *node
+	right     int32
 	// Leaves.
 	leaf bool
 	fit  stats.LinearFit
 }
 
 type tree struct {
-	root     *node
-	features []int // the subset this tree may split on
+	nodes    []node // preorder; nodes[0] is the root
+	features []int  // the subset this tree may split on
 }
 
 // Forest is a trained random decision forest.
 type Forest struct {
-	trees    []*tree
+	trees    []tree
 	names    []string
 	nFeature int
 	// gains accumulates variance-reduction per feature for
@@ -117,7 +118,7 @@ func Train(samples []Sample, names []string, cfg Config) (*Forest, error) {
 	}
 	c := cfg.withDefaults()
 	f := &Forest{
-		trees:    make([]*tree, 0, c.Trees),
+		trees:    make([]tree, 0, c.Trees),
 		names:    append([]string(nil), names...),
 		nFeature: width,
 		gains:    make([]float64, width),
@@ -141,9 +142,9 @@ func Train(samples []Sample, names []string, cfg Config) (*Forest, error) {
 		perm := rng.Perm(width)
 		feats := append([]int(nil), perm[:nSub]...)
 		sort.Ints(feats)
-		tr := &tree{features: feats}
-		tr.root = f.grow(sc, boot, feats, c, 0)
-		f.trees = append(f.trees, tr)
+		sc.nodes = sc.nodes[:0]
+		f.grow(sc, boot, feats, c, 0)
+		f.trees = append(f.trees, tree{nodes: append([]node(nil), sc.nodes...), features: feats})
 		treesTrained.Inc()
 	}
 	return f, nil
@@ -159,6 +160,7 @@ type scratch struct {
 	prefix, prefixSq []float64
 	spill            []*Sample // grow's right-hand side while it partitions
 	xs, ys           []float64 // makeLeaf's regression inputs
+	nodes            []node    // the tree being grown, in preorder
 }
 
 // byFeature sorts samples by one feature. sort.Sort runs the same
@@ -198,13 +200,15 @@ func variance(samples []*Sample) float64 {
 	return v / float64(len(samples))
 }
 
-// grow recursively builds a (sub)tree, reordering samples in place.
-// Trees are grown deep and unpruned; growth stops only when a node is
-// too small, pure, un-splittable, or at the configured depth cap.
-func (f *Forest) grow(sc *scratch, samples []*Sample, feats []int, c Config, depth int) *node {
+// grow recursively builds a (sub)tree, reordering samples in place, and
+// appends its nodes to sc.nodes in preorder. Trees are grown deep and
+// unpruned; growth stops only when a node is too small, pure,
+// un-splittable, or at the configured depth cap.
+func (f *Forest) grow(sc *scratch, samples []*Sample, feats []int, c Config, depth int) {
 	if len(samples) < 2*c.MinLeaf || variance(samples) < 1e-18 ||
 		(c.MaxDepth > 0 && depth >= c.MaxDepth) {
-		return f.makeLeaf(sc, samples, c)
+		sc.nodes = append(sc.nodes, f.makeLeaf(sc, samples, c))
+		return
 	}
 	bestGain := 0.0
 	bestFeat := -1
@@ -217,7 +221,8 @@ func (f *Forest) grow(sc *scratch, samples []*Sample, feats []int, c Config, dep
 		}
 	}
 	if bestFeat < 0 {
-		return f.makeLeaf(sc, samples, c)
+		sc.nodes = append(sc.nodes, f.makeLeaf(sc, samples, c))
+		return
 	}
 	f.gains[bestFeat] += bestGain * float64(len(samples))
 	// Stable partition: the left side keeps its order at the front, the
@@ -234,12 +239,11 @@ func (f *Forest) grow(sc *scratch, samples []*Sample, feats []int, c Config, dep
 	}
 	copy(samples[nLeft:], right)
 	sc.spill = right
-	return &node{
-		feature:   bestFeat,
-		threshold: bestThr,
-		left:      f.grow(sc, samples[:nLeft], feats, c, depth+1),
-		right:     f.grow(sc, samples[nLeft:], feats, c, depth+1),
-	}
+	at := len(sc.nodes)
+	sc.nodes = append(sc.nodes, node{feature: bestFeat, threshold: bestThr})
+	f.grow(sc, samples[:nLeft], feats, c, depth+1)
+	sc.nodes[at].right = int32(len(sc.nodes))
+	f.grow(sc, samples[nLeft:], feats, c, depth+1)
 }
 
 // bestSplit scans thresholds for one feature and returns the split with
@@ -290,10 +294,10 @@ func (sc *scratch) bestSplit(samples []*Sample, fi, minLeaf int, parentVar float
 // makeLeaf fits the leaf's linear regression of y on x (Figure 5's
 // mu_e = a*mu_m + b leaves), or a constant mean under the MeanLeaves
 // ablation.
-func (f *Forest) makeLeaf(sc *scratch, samples []*Sample, c Config) *node {
+func (f *Forest) makeLeaf(sc *scratch, samples []*Sample, c Config) node {
 	if len(samples) == 0 {
 		// Can happen only on degenerate splits; predict a neutral fit.
-		return &node{leaf: true, fit: stats.LinearFit{A: 1, B: 0}}
+		return node{leaf: true, fit: stats.LinearFit{A: 1, B: 0}}
 	}
 	xs := resize(sc.xs, len(samples))
 	ys := resize(sc.ys, len(samples))
@@ -303,22 +307,22 @@ func (f *Forest) makeLeaf(sc *scratch, samples []*Sample, c Config) *node {
 		ys[i] = s.Y
 	}
 	if c.MeanLeaves {
-		return &node{leaf: true, fit: stats.LinearFit{A: 0, B: stats.Mean(ys), N: len(ys)}}
+		return node{leaf: true, fit: stats.LinearFit{A: 0, B: stats.Mean(ys), N: len(ys)}}
 	}
-	return &node{leaf: true, fit: stats.FitLinear(xs, ys)}
+	return node{leaf: true, fit: stats.FitLinear(xs, ys)}
 }
 
 // lookup walks one tree to its leaf fit for the given features.
 func (t *tree) lookup(features []float64) stats.LinearFit {
-	n := t.root
-	for !n.leaf {
-		if features[n.feature] <= n.threshold {
-			n = n.left
+	i := int32(0)
+	for !t.nodes[i].leaf {
+		if n := &t.nodes[i]; features[n.feature] <= n.threshold {
+			i++
 		} else {
-			n = n.right
+			i = n.right
 		}
 	}
-	return n.fit
+	return t.nodes[i].fit
 }
 
 // PredictParams returns the ensemble's averaged leaf-regression parameters
@@ -327,8 +331,8 @@ func (f *Forest) PredictParams(features []float64) (a, b float64) {
 	if len(features) != f.nFeature {
 		panic(fmt.Sprintf("forest: %d features, trained on %d", len(features), f.nFeature))
 	}
-	for _, t := range f.trees {
-		fit := t.lookup(features)
+	for i := range f.trees {
+		fit := f.trees[i].lookup(features)
 		a += fit.A
 		b += fit.B
 	}

@@ -39,28 +39,26 @@ func hashForest(f *Forest, heldOut []Sample) uint64 {
 	var b []byte
 	u := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
 	fl := func(v float64) { u(math.Float64bits(v)) }
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n.leaf {
-			u(1)
-			fl(n.fit.A)
-			fl(n.fit.B)
-			u(uint64(n.fit.N))
-			return
-		}
-		u(0)
-		u(uint64(n.feature))
-		fl(n.threshold)
-		walk(n.left)
-		walk(n.right)
-	}
 	u(uint64(len(f.trees)))
 	for _, t := range f.trees {
 		u(uint64(len(t.features)))
 		for _, fi := range t.features {
 			u(uint64(fi))
 		}
-		walk(t.root)
+		// The nodes are stored in preorder, the order this digest
+		// has always walked them.
+		for _, n := range t.nodes {
+			if n.leaf {
+				u(1)
+				fl(n.fit.A)
+				fl(n.fit.B)
+				u(uint64(n.fit.N))
+				continue
+			}
+			u(0)
+			u(uint64(n.feature))
+			fl(n.threshold)
+		}
 	}
 	for _, g := range f.gains {
 		fl(g)

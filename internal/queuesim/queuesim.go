@@ -317,7 +317,7 @@ type query struct {
 	key         float64 // ready-heap ordering key (ordered disciplines)
 
 	departEv  sim.Handle
-	timeoutEv sim.Handle
+	timeoutEv sim.Handle // zero once fired or cancelled
 
 	id  int32
 	srv int32 // server this query was dispatched to
@@ -465,7 +465,7 @@ type Runner struct {
 
 	warmup      int
 	total       int
-	budgetEv    sim.Handle
+	budgetEv    sim.Handle // zero, or the live budget interrupt
 	arrived     int
 	engages     int
 	exhaustions int
@@ -922,9 +922,13 @@ func (r *Runner) dispatchSrv(s int32) {
 				r.emit(obs.EvResume, now, qi, (1-q.tau)*q.service)
 			}
 		}
-		q.departEv = r.eng.Schedule(now+(1-q.tau)*q.service, r.cbDepart, qi)
+		// A query that sprints from dispatch has its departure scheduled
+		// once, at the sprinted time.
 		if q.pending && r.acct.CanSprint(now) {
-			r.engage(qi)
+			q.departEv = r.eng.Schedule(r.engage(qi), r.cbDepart, qi)
+			r.replanBudget()
+		} else {
+			q.departEv = r.eng.Schedule(now+(1-q.tau)*q.service, r.cbDepart, qi)
 		}
 	}
 }
@@ -1016,6 +1020,7 @@ func (r *Runner) onTimeout(qi int32) {
 	now := r.eng.Now()
 	q := &r.pool[qi]
 	q.toFired = true
+	q.timeoutEv = sim.Handle{} // fired
 	if r.tr != nil {
 		r.emit(obs.EvTimeout, now, qi, r.cls.timeout)
 	}
@@ -1026,13 +1031,17 @@ func (r *Runner) onTimeout(qi int32) {
 	if !q.sprint && r.acct.CanSprint(now) {
 		q.tau = r.progress(q, now)
 		q.seg = now
-		r.engage(qi)
+		q.departEv = r.eng.Reschedule(q.departEv, r.engage(qi))
+		r.replanBudget()
 	}
 }
 
-// engage applies Equation 1: the remaining execution shrinks by mu/mu_e,
-// and the query's pending departure is re-keyed in place.
-func (r *Runner) engage(qi int32) {
+// engage applies Equation 1 to query qi from its current (tau, seg): the
+// remaining execution shrinks by mu/mu_e. It starts the sprint and
+// returns the query's sprinted departure time; the caller (re)schedules
+// the departure there and then replans the budget interrupt, in that
+// order, so the two events take their seqs as they always have.
+func (r *Runner) engage(qi int32) float64 {
 	now := r.eng.Now()
 	r.engages++
 	q := &r.pool[qi]
@@ -1049,22 +1058,27 @@ func (r *Runner) engage(qi int32) {
 	q.sprinted = true
 	q.sprintStart = now
 	remaining := (1 - q.tau) * q.service / r.cls.speedup
-	q.departEv = r.eng.Reschedule(q.departEv, now+remaining)
-	r.replanBudget()
+	return now + remaining
 }
 
 func (r *Runner) replanBudget() {
 	now := r.eng.Now()
-	if tte := r.acct.TimeToEmpty(now); math.IsInf(tte, 1) {
-		r.eng.Cancel(r.budgetEv)
-		r.budgetEv = sim.Handle{}
-	} else if r.budgetEv = r.eng.Reschedule(r.budgetEv, now+tte); r.budgetEv == (sim.Handle{}) {
+	switch tte := r.acct.TimeToEmpty(now); {
+	case math.IsInf(tte, 1):
+		if r.budgetEv != (sim.Handle{}) {
+			r.eng.Cancel(r.budgetEv)
+			r.budgetEv = sim.Handle{}
+		}
+	case r.budgetEv == (sim.Handle{}):
 		r.budgetEv = r.eng.Schedule(now+tte, r.cbBudget, 0)
+	default:
+		r.budgetEv = r.eng.Reschedule(r.budgetEv, now+tte)
 	}
 }
 
 func (r *Runner) onBudgetEmpty() {
 	now := r.eng.Now()
+	r.budgetEv = sim.Handle{} // fired
 	r.exhaustions++
 	r.exhausted = true
 	if r.tr != nil {
@@ -1111,8 +1125,10 @@ func (r *Runner) depart(qi int32) {
 	if r.tr != nil {
 		r.emit(obs.EvDeparture, now, qi, now-q.arrival)
 	}
-	r.eng.Cancel(q.timeoutEv)
-	q.timeoutEv = sim.Handle{}
+	if q.timeoutEv != (sim.Handle{}) {
+		r.eng.Cancel(q.timeoutEv)
+		q.timeoutEv = sim.Handle{}
+	}
 	if n := len(r.running) - 1; r.running[n] == qi {
 		r.running = r.running[:n]
 	} else {

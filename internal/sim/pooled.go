@@ -1,34 +1,42 @@
 // Package sim provides the discrete-event simulation engine both the
 // ground-truth testbed (internal/testbed) and the model-side queue
 // simulator (internal/queuesim) are built on: a monotonic virtual clock
-// and a cancellable, allocation-free event heap.
+// and a cancellable, allocation-free pending-event set.
 //
 // The paper's reference simulator (Algorithm 1) steps a microsecond-
-// resolution clock; scheduling events on a heap is semantically equivalent
-// (queuesim's tests cross-validate against a faithful tick-stepped
-// implementation) and orders of magnitude faster, which is what makes the
-// policy-space exploration of Section 4 practical.
+// resolution clock; firing scheduled events in time order is semantically
+// equivalent (queuesim's tests cross-validate against a faithful
+// tick-stepped implementation) and orders of magnitude faster, which is
+// what makes the policy-space exploration of Section 4 practical.
 //
 // A policy search performs millions of queuesim runs (Section 3.6), so the
 // PooledEngine allocates nothing per event: events live in a reusable slot
-// pool addressed by generation-checked Handles, callbacks are registered
-// once per consumer and invoked by CallbackID with an int32 argument
-// (typically a pooled-object index), and the priority queue is a binary
-// heap of inline (time, seq) keys over slot indices, sifted by moving a
-// hole; Reschedule re-keys a live event in place. Events scheduled in
-// time order, such as a constant sprint timeout after each arrival, can
-// bypass the heap through ScheduleFIFO: they queue in a FIFO lane that
-// shares the slot pool and the seq counter, where a cancel is O(1) and
-// leaves a dead entry behind for Step or a compaction to drop. Step
-// fires the lane head or the heap top, whichever is first by (time,
-// seq). Events fire in (time, seq) order with seq assigned at Schedule
-// time, so same-time events fire in scheduling order whatever their
-// queue, and cancelled events never fire. queuesim's differential suite
-// checks the engine bit for bit against a test-only copy of the original
-// closure-and-heap engine.
+// pool addressed by generation-checked Handles, and callbacks are
+// registered once per consumer and invoked by CallbackID with an int32
+// argument (typically a pooled-object index). Pending events sit in an
+// unsorted set: Schedule appends, Reschedule re-keys an event in place,
+// Cancel swaps the last event into the hole, and Step scans for the
+// (time, seq) minimum. queuesim and the testbed hold about 4 events per
+// simulated server (a departure per busy slot, the next arrival, the
+// budget interrupt), where a scan is cheaper than keeping a heap
+// ordered; being linear, it falls behind a binary heap between 64 and
+// 256 pending events (BenchmarkPooledEngine), which only many-server
+// `sprintctl disciplines -servers` runs reach. Events scheduled in time
+// order, such as a constant sprint timeout after each arrival, skip the
+// set through ScheduleFIFO: they queue in a FIFO lane that shares the
+// slot pool and the seq counter, where a cancel is O(1) and leaves a dead
+// entry for Step or a compaction to drop. Step fires the lane head or the
+// set's minimum, whichever is first by (time, seq). Seq is assigned at
+// Schedule time, so same-time events fire in scheduling order whatever
+// their queue; cancelled events never fire; and a NaN time panics, as a
+// past one does. queuesim's differential suite checks the engine bit for
+// bit against a test-only copy of the original closure-and-heap engine.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // CallbackID names a callback registered with PooledEngine.Register.
 type CallbackID int32
@@ -43,16 +51,16 @@ type Handle struct {
 	gen uint32
 }
 
-// slot is one pooled event's payload; its (time, seq) key lives in its
-// heap or lane entry. Slots are recycled through a free list; gen
+// slot is one pooled event's payload; its (time, seq) key lives in the
+// pending set or the lane. Slots are recycled through a free list; gen
 // increments on every release and every Reschedule so stale Handles can
-// be detected. heapIdx is the slot's position in the heap, slotFree
+// be detected. pos is the slot's position in the pending set, slotFree
 // while free and slotLane while its event waits in the FIFO lane.
 type slot struct {
-	gen     uint32
-	heapIdx int32
-	cb      CallbackID
-	arg     int32
+	gen uint32
+	pos int32
+	cb  CallbackID
+	arg int32
 }
 
 const (
@@ -60,21 +68,16 @@ const (
 	slotLane int32 = -2
 )
 
-// entry is one heap or lane element: an event's key and its slot. A lane
-// entry also records the slot's generation when it was queued, and is
-// dead once the slot's generation has moved on; heap entries leave gen
-// zero, since a heap event is unlinked the moment it goes.
+// entry is one pending-set or lane element: an event's key and its slot.
+// A lane entry also records the slot's generation when it was queued,
+// and is dead once the slot's generation has moved on; pending-set
+// entries leave gen zero, since such an event is unlinked the moment it
+// goes.
 type entry struct {
 	time float64
 	seq  uint64
 	idx  int32
 	gen  uint32
-}
-
-// less orders entries by (time, seq). Seqs are unique, so this is a
-// strict total order and every heap shape fires events identically.
-func (a entry) less(b entry) bool {
-	return a.time < b.time || (!(b.time < a.time) && a.seq < b.seq)
 }
 
 // PooledEngine is a discrete-event simulator core with pooled events and
@@ -87,8 +90,9 @@ type PooledEngine struct {
 	seq   uint64
 	slots []slot
 	free  []int32 // recycled slot indices
-	heap  []entry // pending events ordered by (time, seq)
 	cbs   []func(arg int32)
+
+	pend []entry // the pending set, unsorted
 
 	// The FIFO lane: lane[laneHead:] in (time, seq) order, laneLive of
 	// its entries live.
@@ -119,7 +123,7 @@ func (e *PooledEngine) Register(fn func(arg int32)) CallbackID {
 func (e *PooledEngine) Now() float64 { return e.now }
 
 // Pending returns the number of scheduled (unfired, uncancelled) events.
-func (e *PooledEngine) Pending() int { return len(e.heap) + e.laneLive }
+func (e *PooledEngine) Pending() int { return len(e.pend) + e.laneLive }
 
 // HighWater returns the maximum number of simultaneously pending events
 // since the last Reset — the slab's size, since a slot is only ever
@@ -127,7 +131,7 @@ func (e *PooledEngine) Pending() int { return len(e.heap) + e.laneLive }
 func (e *PooledEngine) HighWater() int { return len(e.slots) }
 
 // Reset rewinds the clock to zero and empties the event set while keeping
-// the slab, heap, lane and free-list capacity (and all registered
+// the slab, pending-set, lane and free-list capacity (and all registered
 // callbacks), so a runner can replay back-to-back simulations without
 // reallocating. Handles issued before Reset must not be used afterwards.
 func (e *PooledEngine) Reset() {
@@ -135,14 +139,18 @@ func (e *PooledEngine) Reset() {
 	e.seq = 0
 	e.slots = e.slots[:0]
 	e.free = e.free[:0]
-	e.heap = e.heap[:0]
+	e.pend = e.pend[:0]
 	e.lane, e.laneHead, e.laneLive = e.lane[:0], 0, 0
 	e.laneLast = 0
 }
 
-// checkTime rejects times before Now, which would corrupt causality.
+// checkTime rejects NaN and times before Now, which would corrupt
+// causality.
 func (e *PooledEngine) checkTime(at float64) {
-	if at < e.now {
+	if !(at >= e.now) {
+		if math.IsNaN(at) {
+			panic("sim: schedule at NaN")
+		}
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
 }
@@ -165,22 +173,39 @@ func (e *PooledEngine) allocSlot(at float64, cb CallbackID, arg int32) int32 {
 	return int32(len(e.slots) - 1)
 }
 
+// add appends slot idx's event to the pending set under a fresh seq.
+func (e *PooledEngine) add(idx int32, at float64) {
+	e.slots[idx].pos = int32(len(e.pend))
+	e.pend = append(e.pend, entry{time: at, seq: e.seq, idx: idx})
+	e.seq++
+}
+
+// remove unlinks the pending-set event at position i by moving the last
+// one into its place.
+func (e *PooledEngine) remove(i int32) {
+	n := len(e.pend) - 1
+	if int(i) != n {
+		e.pend[i] = e.pend[n]
+		e.slots[e.pend[i].idx].pos = i
+	}
+	e.pend = e.pend[:n]
+}
+
 // Schedule registers callback cb to run with arg at time at. Scheduling in
-// the past (before Now) panics: it would silently corrupt causality.
-// Events at the identical time fire in scheduling order.
+// the past (before Now) or at NaN panics: it would silently corrupt
+// causality. Events at the identical time fire in scheduling order.
 func (e *PooledEngine) Schedule(at float64, cb CallbackID, arg int32) Handle {
 	idx := e.allocSlot(at, cb, arg)
-	e.heap = append(e.heap, entry{})
-	e.siftUp(len(e.heap)-1, entry{time: at, seq: e.seq, idx: idx})
-	e.seq++
+	e.add(idx, at)
 	return Handle{idx: idx, gen: e.slots[idx].gen}
 }
 
 // ScheduleFIFO is Schedule for an event never earlier than the previous
 // ScheduleFIFO event since Reset, such as a constant timeout after each
 // arrival. It panics when at breaks that order. The event queues in the
-// FIFO lane instead of the heap, so scheduling and cancelling it are O(1);
-// it fires exactly when Schedule would have fired it.
+// FIFO lane instead of the pending set, so cancelling it is O(1) and
+// Step never scans it; it fires exactly when Schedule would have fired
+// it.
 func (e *PooledEngine) ScheduleFIFO(at float64, cb CallbackID, arg int32) Handle {
 	if at < e.laneLast {
 		panic(fmt.Sprintf("sim: FIFO event at %v before the previous one at %v", at, e.laneLast))
@@ -188,7 +213,7 @@ func (e *PooledEngine) ScheduleFIFO(at float64, cb CallbackID, arg int32) Handle
 	idx := e.allocSlot(at, cb, arg)
 	e.laneLast = at
 	s := &e.slots[idx]
-	s.heapIdx = slotLane
+	s.pos = slotLane
 	switch {
 	case e.laneLive == 0: // every entry left is dead
 		e.lane, e.laneHead = e.lane[:0], 0
@@ -248,7 +273,7 @@ func (e *PooledEngine) lookup(h Handle) int32 {
 		return -1
 	}
 	s := &e.slots[h.idx]
-	if s.gen != h.gen || s.heapIdx == slotFree {
+	if s.gen != h.gen || s.pos == slotFree {
 		return -1
 	}
 	return h.idx
@@ -262,11 +287,11 @@ func (e *PooledEngine) Cancel(h Handle) bool {
 	if idx < 0 {
 		return false
 	}
-	if hi := e.slots[idx].heapIdx; hi == slotLane {
+	if pos := e.slots[idx].pos; pos == slotLane {
 		e.freeSlot(idx)
 		e.laneDropped()
 	} else {
-		e.heapRemove(int(hi))
+		e.remove(pos)
 		e.freeSlot(idx)
 	}
 	return true
@@ -276,9 +301,9 @@ func (e *PooledEngine) Cancel(h Handle) bool {
 // argument, returning its new handle; h goes stale. The event takes a
 // fresh seq exactly as Schedule would, so it fires as Cancel followed by
 // Schedule would make it fire, but it keeps its slot and is re-keyed in
-// place. A FIFO-lane event moves into the heap, as Schedule would place
-// it. A stale h is a no-op returning the zero Handle — it must never
-// resurrect a recycled slot.
+// place. A FIFO-lane event moves into the pending set, as Schedule would
+// place it. A stale h is a no-op returning the zero Handle — it must
+// never resurrect a recycled slot.
 func (e *PooledEngine) Reschedule(h Handle, at float64) Handle {
 	idx := e.lookup(h)
 	if idx < 0 {
@@ -287,15 +312,13 @@ func (e *PooledEngine) Reschedule(h Handle, at float64) Handle {
 	e.checkTime(at)
 	s := &e.slots[idx]
 	s.gen++
-	ent := entry{time: at, seq: e.seq, idx: idx}
-	if s.heapIdx == slotLane {
+	if s.pos == slotLane {
 		e.laneDropped()
-		e.heap = append(e.heap, entry{})
-		e.siftUp(len(e.heap)-1, ent)
+		e.add(idx, at)
 	} else {
-		e.fix(int(s.heapIdx), ent)
+		e.pend[s.pos].time, e.pend[s.pos].seq = at, e.seq
+		e.seq++
 	}
-	e.seq++
 	return Handle{idx: idx, gen: s.gen}
 }
 
@@ -304,7 +327,7 @@ func (e *PooledEngine) Reschedule(h Handle, at float64) Handle {
 func (e *PooledEngine) freeSlot(idx int32) {
 	s := &e.slots[idx]
 	s.gen++
-	s.heapIdx = slotFree
+	s.pos = slotFree
 	e.free = append(e.free, idx)
 }
 
@@ -315,26 +338,37 @@ func (e *PooledEngine) freeSlot(idx int32) {
 //
 //sprint:hotpath event dispatch fires millions of times per run (BenchmarkPooledEngine)
 func (e *PooledEngine) Step() bool {
-	var top entry
-	fromLane := false
-	if e.laneLive > 0 {
-		top = e.laneFront()
-		fromLane = len(e.heap) == 0 || top.less(e.heap[0])
+	// The pending set's (time, seq) minimum: seq only breaks exact ties.
+	// Times are never NaN (checkTime), so !(t > at) below means t == at.
+	best := -1
+	var at float64
+	if len(e.pend) > 0 {
+		best, at = 0, e.pend[0].time
+		for i := 1; i < len(e.pend); i++ {
+			if t := e.pend[i].time; t < at || !(t > at) && e.pend[i].seq < e.pend[best].seq {
+				best, at = i, t
+			}
+		}
 	}
-	if fromLane {
-		e.laneHead++
-		e.laneLive--
-	} else {
-		if len(e.heap) == 0 {
+	idx := int32(-1)
+	if e.laneLive > 0 {
+		if l := e.laneFront(); best < 0 || l.time < at || !(l.time > at) && l.seq < e.pend[best].seq {
+			e.laneHead++
+			e.laneLive--
+			idx, at = l.idx, l.time
+		}
+	}
+	if idx < 0 {
+		if best < 0 {
 			return false
 		}
-		top = e.heap[0]
-		e.heapRemove(0)
+		idx = e.pend[best].idx
+		e.remove(int32(best))
 	}
-	s := &e.slots[top.idx]
+	s := &e.slots[idx]
 	cb, arg := s.cb, s.arg
-	e.freeSlot(top.idx)
-	e.now = top.time
+	e.freeSlot(idx)
+	e.now = at
 	e.cbs[cb](arg)
 	return true
 }
@@ -348,61 +382,4 @@ func (e *PooledEngine) RunAll() int {
 		fired++
 	}
 	return fired
-}
-
-// heapRemove unlinks the entry at heap position i.
-func (e *PooledEngine) heapRemove(i int) {
-	n := len(e.heap) - 1
-	last := e.heap[n]
-	e.heap = e.heap[:n]
-	if i != n {
-		e.fix(i, last)
-	}
-}
-
-// fix fills the hole at heap position i with ent, sifting it whichever
-// way its key requires.
-func (e *PooledEngine) fix(i int, ent entry) {
-	if i > 0 && ent.less(e.heap[(i-1)/2]) {
-		e.siftUp(i, ent)
-	} else {
-		e.siftDown(i, ent)
-	}
-}
-
-// place stores ent at heap position i and records the back-pointer.
-func (e *PooledEngine) place(i int, ent entry) {
-	e.heap[i] = ent
-	e.slots[ent.idx].heapIdx = int32(i)
-}
-
-// siftUp moves the hole at i rootward past every parent ordering after
-// ent, then fills it with ent.
-func (e *PooledEngine) siftUp(i int, ent entry) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !ent.less(e.heap[parent]) {
-			break
-		}
-		e.place(i, e.heap[parent])
-		i = parent
-	}
-	e.place(i, ent)
-}
-
-// siftDown moves the hole at i leafward past every smaller child
-// ordering before ent, then fills it with ent.
-func (e *PooledEngine) siftDown(i int, ent entry) {
-	n := len(e.heap)
-	for child := 2*i + 1; child < n; child = 2*i + 1 {
-		if r := child + 1; r < n && e.heap[r].less(e.heap[child]) {
-			child = r
-		}
-		if !e.heap[child].less(ent) {
-			break
-		}
-		e.place(i, e.heap[child])
-		i = child
-	}
-	e.place(i, ent)
 }

@@ -286,6 +286,39 @@ func TestPooledSchedulePastPanics(t *testing.T) {
 	r.eng.Schedule(1, r.cb, 0)
 }
 
+// TestPooledNaNTimePanics checks every entry point rejects a NaN time:
+// NaN compares false both ways, so it would pass a plain causality check
+// and then fire out of order and leave the clock at NaN.
+func TestPooledNaNTimePanics(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		op   func(r *recorder)
+	}{
+		{"Schedule", func(r *recorder) { r.eng.Schedule(nan, r.cb, 0) }},
+		{"After", func(r *recorder) { r.eng.After(nan, r.cb, 0) }},
+		{"ScheduleFIFO", func(r *recorder) { r.eng.ScheduleFIFO(nan, r.cb, 0) }},
+		{"Reschedule", func(r *recorder) { r.eng.Reschedule(r.eng.Schedule(5, r.cb, 0), nan) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRecorder()
+			r.eng.Schedule(1, r.cb, 1)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("scheduling at NaN did not panic")
+					}
+				}()
+				tc.op(r)
+			}()
+			r.eng.RunAll()
+			if math.IsNaN(r.eng.Now()) {
+				t.Fatal("the clock reached NaN")
+			}
+		})
+	}
+}
+
 func TestPooledUnregisteredCallbackPanics(t *testing.T) {
 	eng := NewPooled()
 	defer func() {
@@ -357,137 +390,180 @@ func (o *oracle) live(label int32, ver int) bool {
 	return false
 }
 
-// TestPooledMatchesSortedOracle drives the PooledEngine and the sorted-
-// slice oracle through one randomized script and requires identical
-// firing sequences and identical handle staleness. Event times snap to a
-// coarse grid so exact-time ties, which only seq can order, are common,
-// and most operations run inside callbacks while the engine is firing —
-// the way queuesim and the testbed schedule, cancel and re-key
-// departures and budget interrupts. ScheduleFIFO events (the timeouts'
-// lane) interleave with heap events and are cancelled and rescheduled
-// through the same handles; the oracle knows no lane. Several rounds
-// share one engine across Reset so recycled slots are exercised too.
-func TestPooledMatchesSortedOracle(t *testing.T) {
+// checkOracleScript drives a PooledEngine and the sorted-slice oracle
+// through one script and reports whether they agree: identical firing
+// sequences and identical handle staleness. intn(n) supplies the
+// script's choices, each in [0, n). Event times snap to a coarse grid so
+// exact-time ties, which only seq can order, are common, and most
+// operations run inside callbacks while the engine is firing — the way
+// queuesim and the testbed schedule, cancel and re-key departures and
+// budget interrupts. ScheduleFIFO events (the timeouts' lane) interleave
+// with pending-set events and are cancelled and rescheduled through the
+// same handles; the oracle knows no lane. Each round starts with up to
+// maxInit events, and several rounds share one engine across Reset so
+// recycled slots are exercised too.
+func checkOracleScript(t *testing.T, intn func(n int) int, rounds, maxInit int) bool {
 	type handle struct {
 		h     Handle
 		label int32
 		ver   int
 	}
+	eng := NewPooled()
+	ok := true
+	fail := func(format string, args ...any) {
+		if ok {
+			t.Logf(format, args...)
+		}
+		ok = false
+	}
+	var (
+		o        oracle
+		hs       []handle
+		label    int32
+		ops      int
+		laneLast float64
+		cb       CallbackID
+		opBurst  func()
+	)
+	at := func() float64 { return eng.Now() + float64(intn(6))*0.5 }
+	track := func(h Handle, when float64) {
+		hs = append(hs, handle{h, label, 0})
+		o.version[label] = 0
+		o.insert(when, label)
+		label++
+	}
+	schedule := func() {
+		when := at()
+		track(eng.Schedule(when, cb, label), when)
+	}
+	// scheduleFIFO keeps lane times non-decreasing, stepping by the same
+	// coarse grid so lane events tie with pending-set events and with
+	// each other.
+	scheduleFIFO := func() {
+		when := math.Max(eng.Now(), laneLast) + float64(intn(3))*0.5
+		laneLast = when
+		track(eng.ScheduleFIFO(when, cb, label), when)
+	}
+	opBurst = func() {
+		for n := intn(4); n > 0 && ops < 400; n-- {
+			ops++
+			switch {
+			case intn(4) == 0:
+				scheduleFIFO()
+			case intn(3) == 0 || len(hs) == 0:
+				schedule()
+			case intn(2) == 0:
+				c := hs[intn(len(hs))]
+				want := o.live(c.label, c.ver)
+				if got := eng.Cancel(c.h); got != want {
+					fail("cancel of label %d v%d returned %v, oracle %v", c.label, c.ver, got, want)
+				}
+				if want {
+					o.remove(c.label)
+				}
+			default:
+				c := hs[intn(len(hs))]
+				want := o.live(c.label, c.ver)
+				when := at()
+				nh := eng.Reschedule(c.h, when)
+				if (nh != Handle{}) != want {
+					fail("reschedule of label %d v%d returned %v, oracle live %v", c.label, c.ver, nh, want)
+				}
+				if want {
+					o.remove(c.label)
+					o.version[c.label] = c.ver + 1
+					o.insert(when, c.label)
+					hs = append(hs, handle{nh, c.label, c.ver + 1})
+				}
+			}
+			if eng.Pending() != len(o.pending) {
+				fail("pending %d, oracle %d", eng.Pending(), len(o.pending))
+			}
+		}
+	}
+	cb = eng.Register(func(arg int32) {
+		if len(o.pending) == 0 {
+			fail("label %d fired at %v, oracle empty", arg, eng.Now())
+			return
+		}
+		want := o.pending[0]
+		o.pending = o.pending[1:]
+		if want.label != arg || want.at != eng.Now() {
+			fail("fired label %d at %v, oracle label %d at %v", arg, eng.Now(), want.label, want.at)
+		}
+		opBurst()
+	})
+	for round := 0; round < rounds; round++ {
+		eng.Reset()
+		o = oracle{version: map[int32]int{}}
+		hs, label, ops, laneLast = hs[:0], 0, 0, 0
+		for i, n := 0, 1+intn(maxInit); i < n; i++ {
+			if intn(2) == 0 {
+				scheduleFIFO()
+			} else {
+				schedule()
+			}
+		}
+		opBurst()
+		eng.RunAll()
+		if len(o.pending) != 0 || eng.Pending() != 0 {
+			fail("round %d drained with %d oracle / %d engine pending", round, len(o.pending), eng.Pending())
+		}
+		// Every handle is stale once the engine has drained.
+		for _, c := range hs {
+			if eng.Cancel(c.h) || eng.Reschedule(c.h, eng.Now()) != (Handle{}) {
+				fail("label %d v%d handle live after drain", c.label, c.ver)
+			}
+		}
+	}
+	return ok
+}
+
+// TestPooledMatchesSortedOracle runs checkOracleScript over random
+// scripts of up to 12 initial events, three Reset rounds each.
+func TestPooledMatchesSortedOracle(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := dist.NewRNG(seed)
-		eng := NewPooled()
-		ok := true
-		fail := func(format string, args ...any) {
-			if ok {
-				t.Logf("seed %#x: "+format, append([]any{seed}, args...)...)
-			}
-			ok = false
+		if !checkOracleScript(t, rng.Intn, 3, 12) {
+			t.Logf("seed %#x diverged", seed)
+			return false
 		}
-		var (
-			o        oracle
-			hs       []handle
-			label    int32
-			ops      int
-			laneLast float64
-			cb       CallbackID
-			opBurst  func()
-		)
-		at := func() float64 { return eng.Now() + float64(rng.Intn(6))*0.5 }
-		track := func(h Handle, when float64) {
-			hs = append(hs, handle{h, label, 0})
-			o.version[label] = 0
-			o.insert(when, label)
-			label++
-		}
-		schedule := func() {
-			when := at()
-			track(eng.Schedule(when, cb, label), when)
-		}
-		// scheduleFIFO keeps lane times non-decreasing, stepping by the
-		// same coarse grid so lane events tie with heap events and with
-		// each other.
-		scheduleFIFO := func() {
-			when := math.Max(eng.Now(), laneLast) + float64(rng.Intn(3))*0.5
-			laneLast = when
-			track(eng.ScheduleFIFO(when, cb, label), when)
-		}
-		opBurst = func() {
-			for n := rng.Intn(4); n > 0 && ops < 400; n-- {
-				ops++
-				switch {
-				case rng.Intn(4) == 0:
-					scheduleFIFO()
-				case rng.Intn(3) == 0 || len(hs) == 0:
-					schedule()
-				case rng.Intn(2) == 0:
-					c := hs[rng.Intn(len(hs))]
-					want := o.live(c.label, c.ver)
-					if got := eng.Cancel(c.h); got != want {
-						fail("cancel of label %d v%d returned %v, oracle %v", c.label, c.ver, got, want)
-					}
-					if want {
-						o.remove(c.label)
-					}
-				default:
-					c := hs[rng.Intn(len(hs))]
-					want := o.live(c.label, c.ver)
-					when := at()
-					nh := eng.Reschedule(c.h, when)
-					if (nh != Handle{}) != want {
-						fail("reschedule of label %d v%d returned %v, oracle live %v", c.label, c.ver, nh, want)
-					}
-					if want {
-						o.remove(c.label)
-						o.version[c.label] = c.ver + 1
-						o.insert(when, c.label)
-						hs = append(hs, handle{nh, c.label, c.ver + 1})
-					}
-				}
-				if eng.Pending() != len(o.pending) {
-					fail("pending %d, oracle %d", eng.Pending(), len(o.pending))
-				}
-			}
-		}
-		cb = eng.Register(func(arg int32) {
-			if len(o.pending) == 0 {
-				fail("label %d fired at %v, oracle empty", arg, eng.Now())
-				return
-			}
-			want := o.pending[0]
-			o.pending = o.pending[1:]
-			if want.label != arg || want.at != eng.Now() {
-				fail("fired label %d at %v, oracle label %d at %v", arg, eng.Now(), want.label, want.at)
-			}
-			opBurst()
-		})
-		for round := 0; round < 3; round++ {
-			eng.Reset()
-			o = oracle{version: map[int32]int{}}
-			hs, label, ops, laneLast = hs[:0], 0, 0, 0
-			for i := 0; i < 1+rng.Intn(12); i++ {
-				if rng.Intn(2) == 0 {
-					scheduleFIFO()
-				} else {
-					schedule()
-				}
-			}
-			opBurst()
-			eng.RunAll()
-			if len(o.pending) != 0 || eng.Pending() != 0 {
-				fail("round %d drained with %d oracle / %d engine pending", round, len(o.pending), eng.Pending())
-			}
-			// Every handle is stale once the engine has drained.
-			for _, c := range hs {
-				if eng.Cancel(c.h) || eng.Reschedule(c.h, eng.Now()) != (Handle{}) {
-					fail("label %d v%d handle live after drain", c.label, c.ver)
-				}
-			}
-		}
-		return ok
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzPooledEngine runs checkOracleScript on scripts read from the fuzz
+// input, two bytes per choice (zero once the input runs out, which
+// drains the engine). Its first choice sets the number of Reset rounds
+// (one to three); each round starts with up to 256 events, so the
+// pending set is exercised at every depth the scan sees in production
+// and beyond.
+func FuzzPooledEngine(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 2, 0, 11, 0, 1, 0, 3, 0, 2, 0, 5, 0, 1, 0, 0, 0, 3, 0, 1, 0, 2})
+	f.Add([]byte{0, 1, 0, 255, 1, 3, 2, 7, 0, 1, 5, 9, 0, 4, 3, 3, 1, 8, 0, 2, 6, 6, 2, 1})
+	deep := []byte{0, 0, 0, 255}
+	for i := 0; i < 512; i++ {
+		deep = append(deep, byte(i), byte(i*7+3))
+	}
+	f.Add(deep)
+	f.Fuzz(func(t *testing.T, script []byte) {
+		intn := func(n int) int {
+			if len(script) < 2 {
+				script = nil
+				return 0
+			}
+			v := int(script[0])<<8 | int(script[1])
+			script = script[2:]
+			return v % n
+		}
+		if !checkOracleScript(t, intn, 1+intn(3), 256) {
+			t.Fatal("engine diverged from the sorted oracle")
+		}
+	})
 }
 
 // TestPooledLaneTiesFireBySeq interleaves same-time heap and FIFO-lane
@@ -736,12 +812,14 @@ func TestPooledLaneZeroAllocsSteadyState(t *testing.T) {
 	}
 }
 
-// BenchmarkPooledEngine times the PooledEngine at the depths queuesim
-// runs it (2-16 pending events). Each iteration fires the earliest event
-// and schedules its replacement, re-keys another event in place, and
-// cancels and replaces a third, so the pending set stays at the depth.
+// BenchmarkPooledEngine times the PooledEngine at pending-set depths
+// from what queuesim and the testbed hold per server (2-4 events) up to
+// what `sprintctl disciplines -servers N` reaches with many servers
+// (64-256). Each iteration fires the earliest event and schedules its
+// replacement, re-keys another event in place, and cancels and replaces
+// a third, so the pending set stays at the depth.
 func BenchmarkPooledEngine(b *testing.B) {
-	for _, depth := range []int{2, 4, 16} {
+	for _, depth := range []int{2, 4, 16, 64, 256} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			eng := NewPooled()
 			var fired int32

@@ -1,90 +1,173 @@
 package sweep
 
 import (
-	"container/list"
 	"sync"
 
 	"mdsprint/internal/queuesim"
 )
 
-// entry is one memoized (or in-flight) evaluation. ready is closed when
-// pred/err are final; waiters arriving while a computation is in flight
-// block on it instead of duplicating the work (single-flight).
+// entry is one memoized (or in-flight) evaluation. Entries are pooled:
+// an entry leaves the LRU on eviction but returns to the free list only
+// once its computation is done and nobody holds it (refs == 0), so an
+// owner or waiter never sees its entry re-tenanted under it. prev and
+// next link the LRU while the entry is retained (listed).
 type entry struct {
-	key   Key
-	ready chan struct{}
-	pred  queuesim.Prediction
-	err   error
+	key        Key
+	pred       queuesim.Prediction
+	err        error
+	done       bool
+	listed     bool
+	refs       int32 // the owner plus waiters still to read the result
+	prev, next *entry
 }
 
 // cache is a concurrency-safe, size-bounded LRU of completed evaluations.
-// The list front is most-recently used; lookups promote, inserts evict
-// from the back once the bound is exceeded. Evicting an in-flight entry
+// The list head is most-recently used; lookups promote, inserts evict
+// from the tail once the bound is exceeded. Evicting an in-flight entry
 // is safe: the computation finishes and its waiters are served, the
-// result just isn't retained.
+// result just isn't retained. Waiters for an in-flight entry block on
+// one condition variable, broadcast when any computation finishes, so a
+// miss allocates nothing once the pool of entries has grown to the
+// bound plus the evaluations in flight.
 type cache struct {
-	mu    sync.Mutex
-	max   int
-	ll    *list.List
-	items map[Key]*list.Element
+	mu         sync.Mutex
+	done       sync.Cond // signalled under mu when an entry finishes
+	max        int
+	n          int // retained (listed) entries
+	head, tail *entry
+	items      map[Key]*entry
+	free       []*entry
 }
 
 func newCache(max int) *cache {
-	return &cache{max: max, ll: list.New(), items: make(map[Key]*list.Element, max)}
+	c := &cache{max: max, items: make(map[Key]*entry, max)}
+	c.done.L = &c.mu
+	return c
+}
+
+// unlink removes a listed entry from the LRU.
+func (c *cache) unlink(e *entry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		c.head = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		c.tail = e.prev
+	}
+	e.prev, e.next = nil, nil
+}
+
+// pushFront links e at the head of the LRU.
+func (c *cache) pushFront(e *entry) {
+	e.next = c.head
+	if c.head != nil {
+		c.head.prev = e
+	} else {
+		c.tail = e
+	}
+	c.head = e
+}
+
+// promote moves a listed entry to the head of the LRU.
+func (c *cache) promote(e *entry) {
+	if c.head != e {
+		c.unlink(e)
+		c.pushFront(e)
+	}
+}
+
+// recycle returns e to the free list once nothing can reach it: it is
+// done, unlisted and unheld.
+func (c *cache) recycle(e *entry) {
+	if e.done && !e.listed && e.refs == 0 {
+		e.pred, e.err = queuesim.Prediction{}, nil
+		c.free = append(c.free, e)
+	}
 }
 
 // getOrStart returns the entry for key and whether the caller owns the
 // computation. owner=true means the entry is a fresh placeholder the
-// caller must fill via finish(); owner=false means another goroutine is
-// (or was) computing it — wait on entry.ready.
+// caller must fill via finish; owner=false means another goroutine is
+// (or was) computing it, and the caller reads it with wait. Either way
+// the caller holds the entry until that finish or wait.
 func (c *cache) getOrStart(key Key) (e *entry, owner bool, evicted int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(*entry), false, 0
+	if e, ok := c.items[key]; ok {
+		c.promote(e)
+		e.refs++
+		return e, false, 0
 	}
-	e = &entry{key: key, ready: make(chan struct{})}
-	c.items[key] = c.ll.PushFront(e)
-	for c.ll.Len() > c.max {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.items, back.Value.(*entry).key)
+	if n := len(c.free); n > 0 {
+		e = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		e = &entry{}
+	}
+	*e = entry{key: key, listed: true, refs: 1}
+	c.items[key] = e
+	c.pushFront(e)
+	c.n++
+	for c.n > c.max {
+		back := c.tail
+		c.unlink(back)
+		back.listed = false
+		delete(c.items, back.key)
+		c.n--
+		c.recycle(back)
 		evicted++
 	}
 	return e, true, evicted
 }
 
-// peek returns the completed entry for key without starting anything:
-// misses and in-flight computations both report ok=false. A hit still
-// promotes the entry in the LRU — a peeked result is a used result.
-func (c *cache) peek(key Key) (*entry, bool) {
+// finish publishes the owner's result, wakes all waiters and releases
+// the owner's hold on e.
+func (c *cache) finish(e *entry, pred queuesim.Prediction, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
+	e.pred, e.err, e.done = pred, err, true
+	e.refs--
+	if e.refs > 0 {
+		c.done.Broadcast()
 	}
-	e := el.Value.(*entry)
-	select {
-	case <-e.ready:
-	default:
-		return nil, false // in flight: peeking must never block
-	}
-	c.ll.MoveToFront(el)
-	return e, true
+	c.recycle(e)
 }
 
-// finish publishes the owner's result and wakes all waiters.
-func (e *entry) finish(pred queuesim.Prediction, err error) {
-	e.pred = pred
-	e.err = err
-	close(e.ready)
+// wait blocks until e is done, returns its result and releases the
+// caller's hold on e.
+func (c *cache) wait(e *entry) (queuesim.Prediction, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for !e.done {
+		c.done.Wait()
+	}
+	pred, err := e.pred, e.err
+	e.refs--
+	c.recycle(e)
+	return pred, err
+}
+
+// peek returns the successful result for key without starting
+// anything: misses, memoized failures and in-flight computations all
+// report ok=false. A hit still promotes the entry in the LRU — a peeked
+// result is a used result.
+func (c *cache) peek(key Key) (pred queuesim.Prediction, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.items[key]
+	if !ok || !e.done || e.err != nil {
+		return queuesim.Prediction{}, false // in flight: peeking must never block
+	}
+	c.promote(e)
+	return e.pred, true
 }
 
 // len returns the number of retained entries.
 func (c *cache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return c.n
 }

@@ -105,7 +105,7 @@ func TestLookupSkipsInFlightAndFailed(t *testing.T) {
 	if _, ok := e.Lookup(task); ok {
 		t.Fatal("Lookup hit an in-flight entry")
 	}
-	en.finish(queuesim.Prediction{}, errors.New("boom"))
+	e.cache.finish(en, queuesim.Prediction{}, errors.New("boom"))
 	if _, ok := e.Lookup(task); ok {
 		t.Fatal("Lookup hit a memoized failure")
 	}

@@ -222,11 +222,7 @@ func (e *Engine) Lookup(t Task) (queuesim.Prediction, bool) {
 	if err != nil {
 		return queuesim.Prediction{}, false
 	}
-	en, ok := e.cache.peek(key)
-	if !ok || en.err != nil {
-		return queuesim.Prediction{}, false
-	}
-	return en.pred, true
+	return e.cache.peek(key)
 }
 
 // Evaluate runs (or recalls) one task. Tasks whose Params carry a Tracer
@@ -294,14 +290,14 @@ func (e *Engine) evaluateOutcome(t Task) (queuesim.Prediction, string, error) {
 		e.evals.Add(1)
 		e.m.evals.Inc()
 		pred, err := e.safePredict(t.Params, reps)
-		en.finish(pred, err)
+		e.cache.finish(en, pred, err)
 		e.m.entries.Set(float64(e.cache.len()))
 		return pred, outcomeMiss, err
 	}
 	e.hits.Add(1)
 	e.m.hits.Inc()
-	<-en.ready
-	return en.pred, outcomeHit, en.err
+	pred, err := e.cache.wait(en)
+	return pred, outcomeHit, err
 }
 
 // bypass evaluates uncached.

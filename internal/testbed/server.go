@@ -31,7 +31,7 @@ type execution struct {
 	pending     bool // timeout fired while queued: sprint at dispatch
 
 	departEv  sim.Handle
-	timeoutEv sim.Handle
+	timeoutEv sim.Handle // zero once fired or cancelled
 }
 
 // server wires Figure 3 together: query generator (arrival events), FIFO
@@ -70,7 +70,7 @@ type server struct {
 	runningEx []int32 // query IDs in dispatch order
 	freeSlots int
 
-	budgetEv sim.Handle
+	budgetEv sim.Handle // zero, or the live budget interrupt
 
 	records []QueryRecord
 	arrived int
@@ -293,9 +293,13 @@ func (s *server) dispatch() {
 		e.tau = 0
 		e.segStart = now
 		s.runningEx = append(s.runningEx, int32(id))
-		e.departEv = s.eng.Schedule(now+rec.ServiceTime, s.cbDepart, int32(id))
+		// A query that sprints from dispatch has its departure scheduled
+		// once, at the sprinted time.
 		if e.pending && s.acct.CanSprint(now) {
-			s.engageSprint(int32(id))
+			e.departEv = s.eng.Schedule(s.engageSprint(int32(id)), s.cbDepart, int32(id))
+			s.replanBudget()
+		} else {
+			e.departEv = s.eng.Schedule(now+rec.ServiceTime, s.cbDepart, int32(id))
 		}
 	}
 }
@@ -321,6 +325,7 @@ func (s *server) progressAt(id int32, now float64) float64 {
 // budget permitting.
 func (s *server) onTimeout(id int32) {
 	e := &s.execs[id]
+	e.timeoutEv = sim.Handle{} // fired
 	s.records[id].TimedOut = true
 	now := s.eng.Now()
 	if !e.running {
@@ -331,14 +336,17 @@ func (s *server) onTimeout(id int32) {
 		// Roll progress forward to now, then switch segments.
 		e.tau = s.progressAt(id, now)
 		e.segStart = now
-		s.engageSprint(id)
+		e.departEv = s.eng.Reschedule(e.departEv, s.engageSprint(id))
+		s.replanBudget()
 	}
 }
 
 // engageSprint switches query id to sprinting from its current (tau,
-// segStart) and re-keys its pending departure. Caller must have updated
-// tau/segStart to now.
-func (s *server) engageSprint(id int32) {
+// segStart) and returns its sprinted departure time. Caller must have
+// updated tau/segStart to now, and then (re)schedules the departure
+// there before it replans the budget interrupt, so the two events take
+// their seqs as they always have.
+func (s *server) engageSprint(id int32) float64 {
 	e := &s.execs[id]
 	rec := &s.records[id]
 	now := s.eng.Now()
@@ -350,8 +358,7 @@ func (s *server) engageSprint(id int32) {
 	rec.Sprinted = true
 	rec.SprintTau = e.tau
 	remaining := e.toggle + e.stretch*e.curve.SprintedRemaining(rec.ServiceTime, e.tau)
-	e.departEv = s.eng.Reschedule(e.departEv, now+remaining)
-	s.replanBudget()
+	return now + remaining
 }
 
 // sprintStretch computes the load-coupled degradation of a sprint engaging
@@ -378,11 +385,16 @@ func (s *server) sprintStretch(e *execution) float64 {
 // accountant's current time-to-empty horizon.
 func (s *server) replanBudget() {
 	now := s.eng.Now()
-	if tte := s.acct.TimeToEmpty(now); math.IsInf(tte, 1) {
-		s.eng.Cancel(s.budgetEv)
-		s.budgetEv = sim.Handle{}
-	} else if s.budgetEv = s.eng.Reschedule(s.budgetEv, now+tte); s.budgetEv == (sim.Handle{}) {
+	switch tte := s.acct.TimeToEmpty(now); {
+	case math.IsInf(tte, 1):
+		if s.budgetEv != (sim.Handle{}) {
+			s.eng.Cancel(s.budgetEv)
+			s.budgetEv = sim.Handle{}
+		}
+	case s.budgetEv == (sim.Handle{}):
 		s.budgetEv = s.eng.Schedule(now+tte, s.cbBudget, 0)
+	default:
+		s.budgetEv = s.eng.Reschedule(s.budgetEv, now+tte)
 	}
 }
 
@@ -390,6 +402,7 @@ func (s *server) replanBudget() {
 // at the sustained rate (Figure 1's "sprinting budget is exhausted").
 func (s *server) onBudgetEmpty() {
 	now := s.eng.Now()
+	s.budgetEv = sim.Handle{} // fired
 	for _, id := range s.runningEx {
 		e := &s.execs[id]
 		if !e.sprint {
@@ -425,8 +438,10 @@ func (s *server) depart(id int32) {
 		s.stopSprint(id, now)
 		s.replanBudget()
 	}
-	s.eng.Cancel(e.timeoutEv)
-	e.timeoutEv = sim.Handle{}
+	if e.timeoutEv != (sim.Handle{}) {
+		s.eng.Cancel(e.timeoutEv)
+		e.timeoutEv = sim.Handle{}
+	}
 	for i, ri := range s.runningEx {
 		if ri == id {
 			s.runningEx = append(s.runningEx[:i], s.runningEx[i+1:]...)
