@@ -45,8 +45,8 @@ func hashForest(f *Forest, heldOut []Sample) uint64 {
 		for _, fi := range t.features {
 			u(uint64(fi))
 		}
-		// The nodes are stored in preorder, the order this digest
-		// has always walked them.
+		// Nodes are stored in preorder, so this visits them as a
+		// recursive preorder walk would.
 		for _, n := range t.nodes {
 			if n.leaf {
 				u(1)
