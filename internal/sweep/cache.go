@@ -8,16 +8,15 @@ import (
 
 // entry is one memoized (or in-flight) evaluation. Entries are pooled:
 // an entry leaves the LRU on eviction but returns to the free list only
-// once its computation is done and nobody holds it (refs == 0), so an
-// owner or waiter never sees its entry re-tenanted under it. prev and
-// next link the LRU while the entry is retained (listed).
+// once nothing holds it, so an owner or waiter never sees its entry
+// re-tenanted under it. prev and next link the LRU while the entry is
+// retained.
 type entry struct {
 	key        Key
 	pred       queuesim.Prediction
 	err        error
 	done       bool
-	listed     bool
-	refs       int32 // the owner plus waiters still to read the result
+	refs       int32 // holders: the LRU while retained, the owner until finish, each waiter until wait
 	prev, next *entry
 }
 
@@ -33,7 +32,7 @@ type cache struct {
 	mu         sync.Mutex
 	done       sync.Cond // signalled under mu when an entry finishes
 	max        int
-	n          int // retained (listed) entries
+	n          int // retained entries
 	head, tail *entry
 	items      map[Key]*entry
 	free       []*entry
@@ -45,7 +44,7 @@ func newCache(max int) *cache {
 	return c
 }
 
-// unlink removes a listed entry from the LRU.
+// unlink removes a retained entry from the LRU.
 func (c *cache) unlink(e *entry) {
 	if e.prev != nil {
 		e.prev.next = e.next
@@ -71,7 +70,7 @@ func (c *cache) pushFront(e *entry) {
 	c.head = e
 }
 
-// promote moves a listed entry to the head of the LRU.
+// promote moves a retained entry to the head of the LRU.
 func (c *cache) promote(e *entry) {
 	if c.head != e {
 		c.unlink(e)
@@ -79,11 +78,10 @@ func (c *cache) promote(e *entry) {
 	}
 }
 
-// recycle returns e to the free list once nothing can reach it: it is
-// done, unlisted and unheld.
-func (c *cache) recycle(e *entry) {
-	if e.done && !e.listed && e.refs == 0 {
-		e.pred, e.err = queuesim.Prediction{}, nil
+// release drops one hold on e, returning it to the free list with the
+// last.
+func (c *cache) release(e *entry) {
+	if e.refs--; e.refs == 0 {
 		c.free = append(c.free, e)
 	}
 }
@@ -107,17 +105,16 @@ func (c *cache) getOrStart(key Key) (e *entry, owner bool, evicted int) {
 	} else {
 		e = &entry{}
 	}
-	*e = entry{key: key, listed: true, refs: 1}
+	*e = entry{key: key, refs: 2} // held by the LRU and the owner
 	c.items[key] = e
 	c.pushFront(e)
 	c.n++
 	for c.n > c.max {
 		back := c.tail
 		c.unlink(back)
-		back.listed = false
 		delete(c.items, back.key)
 		c.n--
-		c.recycle(back)
+		c.release(back)
 		evicted++
 	}
 	return e, true, evicted
@@ -129,11 +126,8 @@ func (c *cache) finish(e *entry, pred queuesim.Prediction, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e.pred, e.err, e.done = pred, err, true
-	e.refs--
-	if e.refs > 0 {
-		c.done.Broadcast()
-	}
-	c.recycle(e)
+	c.done.Broadcast()
+	c.release(e)
 }
 
 // wait blocks until e is done, returns its result and releases the
@@ -145,8 +139,7 @@ func (c *cache) wait(e *entry) (queuesim.Prediction, error) {
 		c.done.Wait()
 	}
 	pred, err := e.pred, e.err
-	e.refs--
-	c.recycle(e)
+	c.release(e)
 	return pred, err
 }
 
