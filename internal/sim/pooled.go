@@ -19,9 +19,9 @@
 // (time, seq) minimum. queuesim and the testbed hold about 4 events per
 // simulated server (a departure per busy slot, the next arrival, the
 // budget interrupt), where a scan is cheaper than keeping a heap
-// ordered; being linear, it falls behind a binary heap between 64 and
-// 256 pending events (BenchmarkPooledEngine), which only many-server
-// `sprintctl disciplines -servers` runs reach. Events scheduled in time
+// ordered; being linear, it falls behind a binary heap from about 64
+// pending events on (level at 64, 1.9x at 256 in BenchmarkPooledEngine),
+// which only many-server `sprintctl disciplines -servers` runs reach. Events scheduled in time
 // order, such as a constant sprint timeout after each arrival, skip the
 // set through ScheduleFIFO: they queue in a FIFO lane that shares the
 // slot pool and the seq counter, where a cancel is O(1) and leaves a dead
