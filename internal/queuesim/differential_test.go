@@ -292,3 +292,52 @@ func TestRunnerReuseAcrossPolicies(t *testing.T) {
 	}
 	requireResultsIdentical(t, first, want)
 }
+
+// TestDifferentialSameTimeTies pins the order of events that fall on one
+// virtual time. Unit interarrivals, service times cycling 1 and 4, a
+// unit timeout and a one-second budget over two slots put an arrival, a
+// departure, a timeout and a budget interrupt on the same instant, and
+// at other instants pairs of them in both scheduling orders. Only the
+// (time, seq) order reproduces the reference there: breaking an exact
+// tie by event kind or by where an event is kept reorders the trace.
+func TestDifferentialSameTimeTies(t *testing.T) {
+	params := func(tr obs.QueryTracer) Params {
+		return Params{
+			ArrivalRate: 1, ArrivalKind: dist.KindDeterministic,
+			Service: dist.NewSequence([]float64{1, 4}, 0), ServiceRate: 1,
+			SprintRate: 2, Timeout: 1, BudgetSeconds: 1, RefillTime: 4,
+			Refill: sprint.RefillWindow, Slots: 2, NumQueries: 16, Tracer: tr,
+		}
+	}
+	refTracer, refEvents := captureTracer()
+	want, err := runReference(params(refTracer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotTracer, gotEvents := captureTracer()
+	got, err := Run(params(gotTracer))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The case is vacuous unless one instant carries all four kinds.
+	kinds := map[obs.EventType]bool{obs.EvArrival: true, obs.EvDeparture: true, obs.EvTimeout: true, obs.EvBudgetExhausted: true}
+	allFour := false
+	evs := *refEvents
+	for i := 0; i < len(evs); {
+		seen := map[obs.EventType]bool{}
+		j := i
+		for ; j < len(evs) && math.Float64bits(evs[j].Time) == math.Float64bits(evs[i].Time); j++ {
+			if kinds[evs[j].Type] {
+				seen[evs[j].Type] = true
+			}
+		}
+		allFour = allFour || len(seen) == len(kinds)
+		i = j
+	}
+	if !allFour {
+		t.Fatal("no instant carries an arrival, a departure, a timeout and a budget interrupt")
+	}
+	requireResultsIdentical(t, got, want)
+	requireEventsIdentical(t, *gotEvents, *refEvents)
+}

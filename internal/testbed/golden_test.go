@@ -137,6 +137,29 @@ func goldenCases() []goldenCase {
 		Timeout: 15, BudgetSeconds: 30, RefillTime: 300, Speedup: 2, Soft: true, Refill: sprint.RefillPaused,
 	})
 	soft.LoadCoeff = 0.2
+	// Unit interarrivals, service times cycling 4, 1, 2, a 2 s timeout
+	// and a 2 s budget over two slots put an arrival, a departure, a
+	// timeout and a budget interrupt on one instant (t = 5), and pairs
+	// of them on others in both scheduling orders; load coupling makes
+	// the queue length at a sprint's engage show in its departure. A
+	// tie broken by event kind or by where an event is kept, instead of
+	// by (time, seq), changes the records. 18 queries draw the service
+	// cycle a whole number of times, so a replay of the shared sequence
+	// starts where a fresh one does.
+	ties := Config{
+		Mix:       workload.SingleClass(jacobi),
+		Mechanism: mech.DVFS{},
+		Policy: sprint.Policy{
+			Timeout: 2, BudgetSeconds: 2, RefillTime: 8, Speedup: 2, Refill: sprint.RefillWindow,
+		},
+		ArrivalRate:     1,
+		ArrivalOverride: dist.Deterministic{Value: 1},
+		ServiceOverride: dist.NewSequence([]float64{4, 1, 2}, 0),
+		Slots:           2,
+		NumQueries:      18,
+		LoadCoeff:       1,
+		Seed:            1,
+	}
 
 	return []goldenCase{
 		{
@@ -176,6 +199,47 @@ func goldenCases() []goldenCase {
 			check: requireSome("sprinted midway", engagedMidway),
 			want:  0x073fb9750b6a9f47,
 		},
+		{name: "same-time-ties", cfg: ties, check: allFourAtOnce(ties.Policy.Timeout), want: 0xf6dee5e9099a1f8e},
+	}
+}
+
+// allFourAtOnce returns a check that some instant carries an arrival, a
+// departure, a timeout and a budget interrupt, read off the records: a
+// query timing out there, and a sprint cut off there by an empty budget
+// (under a hard budget a sprint engages at max(dispatch, timeout), so
+// its charged seconds end at the interrupt when that comes first).
+func allFourAtOnce(timeout float64) func(*Result) string {
+	return func(r *Result) string {
+		at := func(t float64, pred func(*QueryRecord) float64) bool {
+			for i := range r.Queries {
+				if math.Float64bits(pred(&r.Queries[i])) == math.Float64bits(t) {
+					return true
+				}
+			}
+			return false
+		}
+		timedOut := func(q *QueryRecord) float64 {
+			if !q.TimedOut {
+				return math.NaN()
+			}
+			return q.Arrival + timeout
+		}
+		cutOff := func(q *QueryRecord) float64 {
+			if !q.Sprinted {
+				return math.NaN()
+			}
+			if end := math.Max(q.Start, q.Arrival+timeout) + q.SprintSeconds; end < q.Depart {
+				return end
+			}
+			return math.NaN()
+		}
+		for i := range r.Queries {
+			t := r.Queries[i].Arrival
+			if at(t, func(q *QueryRecord) float64 { return q.Depart }) && at(t, timedOut) && at(t, cutOff) {
+				return ""
+			}
+		}
+		return "no instant carries an arrival, a departure, a timeout and a budget interrupt"
 	}
 }
 
