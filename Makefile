@@ -109,7 +109,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSuppressionParse$$' -fuzztime 10s ./internal/lint
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTierSpec$$' -fuzztime 10s ./internal/tier
 	$(GO) test -run '^$$' -fuzz '^FuzzTierEscalation$$' -fuzztime 10s ./internal/tier
-	$(GO) test -run '^$$' -fuzz '^FuzzPooledEngine$$' -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzLane$$' -fuzztime 10s ./internal/sim
 
 # bench-check runs the benchmark module's tests. cmd/sprintbench is its
 # own Go module, so ./... above skips it; its pinned set-up digests at
@@ -163,18 +163,14 @@ bench-tier:
 	$(GO) test -run '^$$' -bench 'Decide' -benchmem -count 3 ./internal/tier/
 	MDSPRINT_BENCH_TIER=1 $(GO) test -count=1 -run 'TestTierSpeedupBudget' ./internal/tier/
 
-# bench-sim measures the pooled event engine at pending-set depths 2 to
-# 256 (PooledEngine; queuesim and the testbed hold about 4 events per
-# server, and only many-server disciplines runs reach the deep rows,
-# where the unsorted set's scan loses to the old heap), the simulator
-# hot path against the test-only heap-and-closure reference simulator in
-# queuesim's reference_test.go (the *Reference rows) and the calibration
-# probe that drives it (BenchmarkSimulateRT). Baseline in
-# BENCH_sim.json; the pooled RunReps must stay >=2x faster than the
-# reference.
+# bench-sim measures the simulator hot path, whose events are typed
+# fields fired by its step function, against the test-only
+# heap-and-closure reference simulator in queuesim's reference_test.go
+# (the *Reference rows), and the calibration probe that drives it
+# (BenchmarkSimulateRT). Baseline in BENCH_sim.json; the pooled RunReps
+# must stay >=2x faster than the reference.
 .PHONY: bench-sim
 bench-sim:
-	$(GO) test -run '^$$' -bench 'BenchmarkPooledEngine' -benchmem ./internal/sim/
 	$(GO) test -run '^$$' -bench 'BenchmarkSim(Run|RunInto|RunReference|RunReps|RunRepsReference|RunRepsSRPT)$$' -benchmem ./internal/queuesim/
 	$(GO) test -run '^$$' -bench 'SimulateRT' -benchmem ./internal/calib/
 

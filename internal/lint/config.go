@@ -81,10 +81,9 @@ func DefaultConfig() *Config {
 			"internal/server",
 		},
 		// The allocation-free hot path's slab-resident types: queries in
-		// the queue simulator's pool, event slots in the pooled engine.
+		// the queue simulator's pool.
 		PooledTypes: []string{
 			"internal/queuesim.query",
-			"internal/sim.slot",
 		},
 	}
 }
