@@ -110,6 +110,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTierSpec$$' -fuzztime 10s ./internal/tier
 	$(GO) test -run '^$$' -fuzz '^FuzzTierEscalation$$' -fuzztime 10s ./internal/tier
 	$(GO) test -run '^$$' -fuzz '^FuzzLane$$' -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzMinimizeSpeculation$$' -fuzztime 10s ./internal/explore
 
 # bench-check runs the benchmark module's tests. cmd/sprintbench is its
 # own Go module, so ./... above skips it; its pinned set-up digests at

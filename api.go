@@ -8,8 +8,8 @@ package mdsprint
 // get everything they need from here.
 
 import (
+	"context"
 	"fmt"
-	"math"
 
 	"mdsprint/internal/calib"
 	"mdsprint/internal/core"
@@ -219,26 +219,18 @@ func BestTimeout(m Model, ds *Dataset, base Condition, maxTimeout float64, iters
 	if iters == 0 {
 		iters = 200
 	}
-	// Prediction failures inside the annealing closure are remembered
-	// and returned as an error; the closure itself reports +Inf so the
-	// search simply avoids the failing point instead of crashing the
-	// caller.
-	var predErr error
-	res, err := explore.MinimizeTimeout(func(to float64) float64 {
+	// A failed prediction scores its timeout +Inf, so the search avoids
+	// the failing point, and the first failure is returned as an error
+	// instead of crashing the caller.
+	res, err := explore.MinimizeCtx(context.Background(), func(p []float64) (float64, error) {
 		cond := base
-		cond.Timeout = to
-		pred, perr := m.Predict(ds, core.Scenario{Cond: cond})
-		if perr != nil {
-			if predErr == nil {
-				predErr = perr
-			}
-			return math.Inf(1)
+		cond.Timeout = p[0]
+		pred, err := m.Predict(ds, core.Scenario{Cond: cond})
+		if err != nil {
+			return 0, fmt.Errorf("mdsprint: predicting during timeout search: %w", err)
 		}
-		return pred.MeanRT
-	}, 0, maxTimeout, explore.Options{MaxIter: iters, Seed: seed})
-	if predErr != nil {
-		return 0, 0, fmt.Errorf("mdsprint: predicting during timeout search: %w", predErr)
-	}
+		return pred.MeanRT, nil
+	}, explore.TimeoutSpace(0, maxTimeout), explore.Options{MaxIter: iters, Seed: seed})
 	if err != nil {
 		return 0, 0, err
 	}

@@ -1,9 +1,10 @@
 // Command benchgen regenerates every table and figure of the paper's
 // evaluation and writes the formatted results to stdout (and optionally a
 // file). This is the tool behind EXPERIMENTS.md. Everything that depends
-// on the host — per-step and total wall times, the ablation study's
-// timing table — goes to stderr, so stdout from two commits diffs clean
-// when their results agree.
+// on the host — per-step and total wall times, Figure 11's throughput
+// table and the ablation study's timing table — goes to stderr, so
+// stdout from two runs, at one commit or at two, diffs clean when their
+// results agree.
 //
 // Usage:
 //
@@ -79,7 +80,10 @@ func steps() []step {
 			return r.Table(), err
 		}},
 		{"fig11", func(l *experiments.Lab) (experiments.Table, error) {
-			return experiments.Fig11(l).Table(), nil
+			// Predictions per minute are host wall time: the whole
+			// table goes to stderr and the step adds nothing to stdout.
+			fmt.Fprintf(os.Stderr, "%s\n", experiments.Fig11(l).Table())
+			return experiments.Table{}, nil
 		}},
 		{"fig12a", func(l *experiments.Lab) (experiments.Table, error) {
 			r, err := experiments.Fig12A(l)
@@ -166,7 +170,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchgen: %s failed: %v\n", s.name, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(out, "%s\n", tab.String())
+		if tab.Title != "" {
+			fmt.Fprintf(out, "%s\n", tab.String())
+		}
 		fmt.Fprintf(os.Stderr, "[%s took %s]\n", s.name, time.Since(stepStart).Round(time.Millisecond))
 	}
 	fmt.Fprintf(os.Stderr, "total: %s\n", time.Since(start).Round(time.Second))

@@ -59,7 +59,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math"
 	"net"
 	"os"
 	"runtime/debug"
@@ -371,27 +370,20 @@ func cmdExplore(args []string) error {
 	if err != nil {
 		return err
 	}
-	// The first prediction error is kept and returned; the objective
-	// reports +Inf so the search steers away from the failing point.
-	var predErr error
-	obj := func(to float64) float64 {
+	// A failed prediction scores its timeout +Inf, so the search steers
+	// away from the failing point; the first failure is returned.
+	obj := func(p []float64) (float64, error) {
 		pred, err := h.Predict(ds, core.Scenario{Cond: profiler.Condition{
 			Utilization: *util, ArrivalKind: dist.KindExponential,
-			Timeout: to, RefillTime: *refill, BudgetPct: *budget,
+			Timeout: p[0], RefillTime: *refill, BudgetPct: *budget,
 		}})
 		if err != nil {
-			if predErr == nil {
-				predErr = err
-			}
-			return math.Inf(1)
+			return 0, fmt.Errorf("predicting during timeout search: %w", err)
 		}
-		return pred.MeanRT
+		return pred.MeanRT, nil
 	}
 	logg.Infof("annealing timeouts in [0, %.0f] (%d iterations)...", *maxTimeout, *iters)
-	res, err := explore.MinimizeTimeout(obj, 0, *maxTimeout, explore.Options{MaxIter: *iters, Seed: *seed})
-	if predErr != nil {
-		return fmt.Errorf("predicting during timeout search: %w", predErr)
-	}
+	res, err := explore.MinimizeCtx(context.Background(), obj, explore.TimeoutSpace(0, *maxTimeout), explore.Options{MaxIter: *iters, Seed: *seed})
 	if err != nil {
 		return err
 	}

@@ -230,16 +230,11 @@ func callBatch(obj BatchObjective, pts [][]float64) ([]float64, error) {
 // over [lo, hi] with the +-100 s neighbour window, scoring cohorts of
 // candidate timeouts per call.
 func MinimizeTimeoutBatchCtx(ctx context.Context, obj func(timeouts []float64) ([]float64, error), lo, hi float64, opts BatchOptions) (Result, error) {
-	space := Space{
-		Lo:            []float64{lo},
-		Hi:            []float64{hi},
-		NeighborRange: []float64{100},
-	}
 	return MinimizeBatchCtx(ctx, func(pts [][]float64) ([]float64, error) {
 		ts := make([]float64, len(pts))
 		for i, p := range pts {
 			ts[i] = p[0]
 		}
 		return obj(ts)
-	}, space, opts)
+	}, TimeoutSpace(lo, hi), opts)
 }

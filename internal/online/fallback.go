@@ -45,7 +45,7 @@ type FallbackConfig struct {
 	// over; each decision stamps the estimator-tier provenance (which
 	// ladder tier dominated the decision's model queries, and how many
 	// were answered below simulation cost) into its DecisionRecord. May
-	// be nil.
+	// be nil; only then may the searches score ahead (see Controller).
 	Tiers *tier.Estimator
 	// Clock times selections and searches for decision provenance; nil
 	// uses the real clock.
@@ -108,6 +108,7 @@ func NewFallbackController(cfg FallbackConfig) (*FallbackController, error) {
 	}
 	cfg.Watchdog = cfg.Watchdog.withDefaults()
 	reg := obs.Or(cfg.Metrics)
+	pure := cfg.Tiers == nil
 	f := &FallbackController{
 		cfg: cfg,
 		primary: &Controller{
@@ -115,12 +116,14 @@ func NewFallbackController(cfg FallbackConfig) (*FallbackController, error) {
 			MaxTimeout: cfg.MaxTimeout, AnnealIter: cfg.AnnealIter,
 			Seed: cfg.Seed, RetuneThreshold: cfg.RetuneThreshold,
 			Metrics: cfg.Metrics, Breaker: cfg.Breaker, Clock: cfg.Clock,
+			pure: pure,
 		},
 		fallback: &Controller{
 			Model: cfg.Fallback, Dataset: cfg.Dataset, Base: cfg.Base,
 			MaxTimeout: cfg.MaxTimeout, AnnealIter: cfg.AnnealIter,
 			Seed: cfg.Seed ^ 0xa5a5a5a55a5a5a5a, RetuneThreshold: cfg.RetuneThreshold,
 			Metrics: cfg.Metrics, Clock: cfg.Clock,
+			pure: pure,
 		},
 		active: NewWatchdog(cfg.Watchdog),
 		probe:  NewWatchdog(cfg.Watchdog),

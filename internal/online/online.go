@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 
 	"mdsprint/internal/core"
 	"mdsprint/internal/explore"
@@ -136,6 +137,22 @@ func (e *RateEstimator) Observations() int { return len(e.times) }
 // Controller re-selects the sprint timeout with a performance model
 // whenever the estimated arrival rate drifts by more than
 // RetuneThreshold (relative).
+//
+// A controller built by NewFallbackController over untiered models
+// (FallbackConfig.Tiers nil) scores the search's rejection branch ahead
+// on a second core (explore.Options.Speculate) when GOMAXPROCS > 1 and
+// its last two searches, timed on Clock, each spent at least
+// speculateMinNanos per prediction: far more than the handoff to the
+// second goroutine. The first search reads for both, and runs serially
+// itself. Its decisions
+// are the serial search's, bit for bit, because an untiered prediction
+// is a pure, memoized function of its scenario. A tiered one is not:
+// the estimator's ladder and cache answer by what it was asked before,
+// so a speculative query could change a later answer, and tiered models
+// stay serial. sprintd's closed-form surface predicts far under the gate
+// and stays serial too; under the delay fault a tenant's predictions
+// read as costly and its next search may speculate, with the same
+// decisions. A controller built directly never speculates.
 type Controller struct {
 	// Model predicts response time against Dataset.
 	Model   core.Model
@@ -169,6 +186,44 @@ type Controller struct {
 	haveDecision bool
 	retunes      int
 	lastPredRT   float64
+
+	// pure reports that Model is a pure function of its scenario, safe
+	// for concurrent use: NewFallbackController sets it for untiered
+	// models. callNanos holds the wall time per objective call that the
+	// last two searches read on Clock (the first search fills both).
+	// Together they gate speculation (see Controller).
+	pure      bool
+	callNanos [2]int64
+	timed     bool // a search has filled callNanos
+
+	// score is scored.predictAt, bound once so that a search allocates
+	// no objective; it reads the context and arrival rate of the search
+	// in flight, set for the search's duration only.
+	score      func(point []float64) (float64, error)
+	scored     *Controller
+	searchCtx  context.Context
+	searchRate float64
+}
+
+// speculateMinNanos is the wall time per prediction, as each of the last
+// two searches read it, from which a search scores its rejection branch
+// ahead on a second core. Two readings, so that one search stretched by
+// a preemption or a collection does not turn speculation on.
+// BenchmarkMinimizeSpeculation (2-vCPU shared VM) puts the handoff to
+// the search's second goroutine at ~0.4 µs per round (0.11 → 0.45–0.52
+// µs per consumed call for a free objective), but what the second core
+// gives back depends on how much of it the host lends: speculation lost
+// at 6 µs calls (5.7 → 5.9–11.5 µs per consumed call), won or lost at 55
+// µs (→ 33–70 µs) and always won at 510 µs (→ 312–316 µs). A hybrid
+// prediction takes ~330 µs; sprintd's closed-form surface well under
+// 1 µs.
+const speculateMinNanos = 100_000
+
+// speculate reports whether the next search may score ahead: the model
+// is pure, the last two searches read a prediction as far costlier than
+// the handoff, and another core can run.
+func (c *Controller) speculate() bool {
+	return c.pure && min(c.callNanos[0], c.callNanos[1]) >= speculateMinNanos && runtime.GOMAXPROCS(0) > 1
 }
 
 // tierInfo is the provenance of one tier-level timeout answer.
@@ -235,31 +290,25 @@ func (c *Controller) timeout(ctx context.Context, estimatedRate float64) (float6
 	if iter == 0 {
 		iter = 60
 	}
-	// A prediction failure inside the annealing closure is remembered
-	// and surfaced as an error, never a panic (the closure's signature
-	// has no error channel, so failures poison the point with +Inf).
+	// A failed prediction scores its timeout +Inf and the search runs
+	// on; the first failure the search consumed is surfaced as the
+	// search's error, never a panic.
+	if c.scored != c { // first search, or a copied controller
+		c.score, c.scored = c.predictAt, c
+	}
+	c.searchCtx, c.searchRate = ctx, estimatedRate
 	clk := obs.ClockOr(c.Clock)
 	searchStart := clk.Now()
-	var predErr error
-	res, err := explore.MinimizeTimeout(func(to float64) float64 {
-		cond := c.Base
-		cond.Timeout = to
-		pred, perr := predictModel(ctx, c.Model, c.Dataset, core.Scenario{
-			Cond:        cond,
-			ArrivalRate: estimatedRate,
-		})
-		if perr != nil {
-			if predErr == nil {
-				predErr = perr
-			}
-			return math.Inf(1)
-		}
-		return pred.MeanRT
-	}, 0, maxTO, explore.Options{MaxIter: iter, Seed: c.Seed + uint64(c.retunes)})
+	res, err := explore.MinimizeCtx(ctx, c.score, explore.TimeoutSpace(0, maxTO),
+		explore.Options{MaxIter: iter, Seed: c.Seed + uint64(c.retunes), Speculate: c.speculate()})
+	c.searchCtx = nil
 	searchNanos := clk.Now().Sub(searchStart).Nanoseconds()
-	if predErr != nil {
-		c.reportSearch(false)
-		return 0, tierInfo{Retuned: true, SearchNanos: searchNanos}, fmt.Errorf("online: model prediction during retune: %w", predErr)
+	if res.Evaluations > 0 {
+		n := searchNanos / int64(res.Evaluations)
+		if !c.timed {
+			c.callNanos[1], c.timed = n, true // the first search reads for both
+		}
+		c.callNanos = [2]int64{c.callNanos[1], n}
 	}
 	if err != nil {
 		c.reportSearch(false)
@@ -275,6 +324,19 @@ func (c *Controller) timeout(ctx context.Context, estimatedRate float64) (float6
 	c.retunes++
 	c.recordDecision(oldTO, c.currentTO, estimatedRate, first)
 	return c.currentTO, tierInfo{PredictedRT: res.RT, Retuned: true, SearchNanos: searchNanos}, nil
+}
+
+// predictAt is the retune search's objective: the model's mean RT at
+// timeout point[0], under the context and arrival rate of the search in
+// flight.
+func (c *Controller) predictAt(point []float64) (float64, error) {
+	cond := c.Base
+	cond.Timeout = point[0]
+	pred, err := predictModel(c.searchCtx, c.Model, c.Dataset, core.Scenario{Cond: cond, ArrivalRate: c.searchRate})
+	if err != nil {
+		return 0, fmt.Errorf("online: model prediction during retune: %w", err)
+	}
+	return pred.MeanRT, nil
 }
 
 // predictModel routes a prediction through the model's context-aware

@@ -39,6 +39,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 
 	"mdsprint/internal/dist"
@@ -501,15 +502,38 @@ type samplePath struct {
 // NewRunner returns an empty reusable runner.
 func NewRunner() *Runner { return &Runner{} }
 
-// runnerPool recycles Runners across the package-level entry points (Run,
-// RunReps, Predict), so sweep batches and calibration searches
-// reuse warmed slabs across tasks. Pool reuse only affects buffer
-// capacity, never results: every run fully reinitializes the runner from
-// its Params.
-var runnerPool = sync.Pool{New: func() any { return NewRunner() }}
+// idleRunners and runnerPool recycle Runners across the package-level
+// entry points (Run, RunReps, Predict), so sweep batches, calibration
+// searches and a speculating search's second goroutine reuse warmed
+// slabs across tasks. Reuse only affects buffer capacity, never results:
+// every run fully reinitializes the runner from its Params. Up to
+// GOMAXPROCS runners wait in idleRunners, which any goroutine can take
+// from and no collection empties; the rest go to runnerPool. A
+// sync.Pool alone drops its runners every other collection and keeps
+// each processor's last one where only that processor can take it, so a
+// goroutine that moved rebuilt a runner from nothing: in sprintbench's
+// pipeline that rebuilding was a third of the bytes allocated.
+var (
+	idleRunners = make(chan *Runner, runtime.GOMAXPROCS(0))
+	runnerPool  = sync.Pool{New: func() any { return NewRunner() }}
+)
 
-func getRunner() *Runner  { return runnerPool.Get().(*Runner) }
-func putRunner(r *Runner) { runnerPool.Put(r) }
+func getRunner() *Runner {
+	select {
+	case r := <-idleRunners:
+		return r
+	default:
+		return runnerPool.Get().(*Runner)
+	}
+}
+
+func putRunner(r *Runner) {
+	select {
+	case idleRunners <- r:
+	default:
+		runnerPool.Put(r)
+	}
+}
 
 // resetCore reinitializes the clock, the pending events and every pooled
 // buffer, keeping capacity.

@@ -143,9 +143,7 @@ func goldenCases() []goldenCase {
 	// of them on others in both scheduling orders; load coupling makes
 	// the queue length at a sprint's engage show in its departure. A
 	// tie broken by event kind or by where an event is kept, instead of
-	// by (time, seq), changes the records. 18 queries draw the service
-	// cycle a whole number of times, so a replay of the shared sequence
-	// starts where a fresh one does.
+	// by (time, seq), changes the records.
 	ties := Config{
 		Mix:       workload.SingleClass(jacobi),
 		Mechanism: mech.DVFS{},
@@ -274,20 +272,23 @@ func TestGoldenQueryRecords(t *testing.T) {
 // TestRunIntoMatchesRun replays the golden matrix into one reused
 // Result, forward and then backward so the record count both grows and
 // shrinks, and requires each replay to equal a fresh Run record for
-// record and to keep the case's golden digest.
+// record and to keep the case's golden digest. Every run takes its
+// config from a fresh goldenCases(): a dist.Sequence override keeps a
+// cursor, so a shared one would start each run where the last stopped.
 func TestRunIntoMatchesRun(t *testing.T) {
-	cases := goldenCases()
+	n := len(goldenCases())
 	var res Result
 	for pass := 0; pass < 2; pass++ {
-		for k := range cases {
-			c := cases[k]
+		for j := 0; j < n; j++ {
+			k := j
 			if pass == 1 {
-				c = cases[len(cases)-1-k]
+				k = n - 1 - j
 			}
+			c := goldenCases()[k]
 			if err := RunInto(c.cfg, &res); err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
-			want := MustRun(c.cfg)
+			want := MustRun(goldenCases()[k].cfg)
 			if len(res.Queries) != len(want.Queries) {
 				t.Fatalf("%s: %d records, Run gives %d", c.name, len(res.Queries), len(want.Queries))
 			}
@@ -308,38 +309,42 @@ func TestRunIntoMatchesRun(t *testing.T) {
 // curve or distribution (the commanded speedup, the mechanism family,
 // the runtime-effects flag, the arrival kind and rate, the service CV),
 // forward and then backward, and requires every run to equal a fresh
-// server's record for record.
+// server's record for record. Every run builds the list afresh, so no
+// two runs share a dist.Sequence override's cursor.
 func TestServerMemoAcrossConfigs(t *testing.T) {
-	var cfgs []Config
-	for _, c := range goldenCases() {
-		cfgs = append(cfgs, c.cfg)
-		v := c.cfg
-		v.Policy.Speedup = 1.2
-		cfgs = append(cfgs, v)
-		v = c.cfg
-		if _, ok := v.Mechanism.(mech.CoreScale); ok {
-			v.Mechanism = mech.DVFS{}
-		} else {
-			v.Mechanism = mech.CoreScale{}
+	configs := func() []Config {
+		var cfgs []Config
+		for _, c := range goldenCases() {
+			cfgs = append(cfgs, c.cfg)
+			v := c.cfg
+			v.Policy.Speedup = 1.2
+			cfgs = append(cfgs, v)
+			v = c.cfg
+			if _, ok := v.Mechanism.(mech.CoreScale); ok {
+				v.Mechanism = mech.DVFS{}
+			} else {
+				v.Mechanism = mech.CoreScale{}
+			}
+			cfgs = append(cfgs, v)
+			v = c.cfg
+			v.DisableRuntimeEffects = !v.DisableRuntimeEffects
+			cfgs = append(cfgs, v)
+			v = c.cfg
+			v.ArrivalKind = dist.KindPareto
+			cfgs = append(cfgs, v)
+			v = c.cfg
+			v.ArrivalRate *= 1.1
+			cfgs = append(cfgs, v)
+			v = c.cfg
+			v.Mix.Components = nil
+			for _, comp := range c.cfg.Mix.Components {
+				cls := *comp.Class
+				cls.ServiceCV *= 2
+				v.Mix.Components = append(v.Mix.Components, workload.Component{Class: &cls, Weight: comp.Weight})
+			}
+			cfgs = append(cfgs, v)
 		}
-		cfgs = append(cfgs, v)
-		v = c.cfg
-		v.DisableRuntimeEffects = !v.DisableRuntimeEffects
-		cfgs = append(cfgs, v)
-		v = c.cfg
-		v.ArrivalKind = dist.KindPareto
-		cfgs = append(cfgs, v)
-		v = c.cfg
-		v.ArrivalRate *= 1.1
-		cfgs = append(cfgs, v)
-		v = c.cfg
-		v.Mix.Components = nil
-		for _, comp := range c.cfg.Mix.Components {
-			cls := *comp.Class
-			cls.ServiceCV *= 2
-			v.Mix.Components = append(v.Mix.Components, workload.Component{Class: &cls, Weight: comp.Weight})
-		}
-		cfgs = append(cfgs, v)
+		return cfgs
 	}
 	run := func(s *server, cfg Config) []QueryRecord {
 		s.reset(cfg.withDefaults(), nil)
@@ -349,13 +354,15 @@ func TestServerMemoAcrossConfigs(t *testing.T) {
 		s.release()
 		return res.Queries
 	}
+	n := len(configs())
 	shared := newServer()
 	for pass := 0; pass < 2; pass++ {
-		for k := range cfgs {
+		for j := 0; j < n; j++ {
+			k := j
 			if pass == 1 {
-				k = len(cfgs) - 1 - k
+				k = n - 1 - j
 			}
-			got, want := run(shared, cfgs[k]), run(newServer(), cfgs[k])
+			got, want := run(shared, configs()[k]), run(newServer(), configs()[k])
 			if len(got) != len(want) {
 				t.Fatalf("config %d: %d records, fresh server gives %d", k, len(got), len(want))
 			}
