@@ -423,6 +423,10 @@ type NoML struct {
 
 func (n *NoML) Name() string { return "No-ML" }
 
+// Tiered reports whether a tier estimator answers the model's
+// predictions (Tiers).
+func (n *NoML) Tiered() bool { return n.Tiers != nil }
+
 func (n *NoML) resolveEngine() *sweep.Engine {
 	n.engineOnce.Do(func() { n.engine = engineFor(n.Engine, n.Workers) })
 	return n.engine
@@ -608,6 +612,10 @@ func NewHybridFromForest(f *forest.Forest, simQueries, simReps, workers int, see
 }
 
 func (h *Hybrid) Name() string { return "Hybrid" }
+
+// Tiered reports whether a tier estimator answers the model's
+// predictions (HybridOptions.Tiers).
+func (h *Hybrid) Tiered() bool { return h.tiers != nil }
 
 // EffectiveRate returns the forest's mu_e estimate for a scenario,
 // clamped to the physically sensible band [0.5*mu, 3*mu_m]. The band

@@ -2,23 +2,19 @@ package explore
 
 import (
 	"context"
-	"runtime"
-	"sync/atomic"
 
 	"mdsprint/internal/dist"
 )
 
 // speculator is a speculating search's second goroutine and the one
 // call it may have in flight. Only the search's goroutine touches its
-// bookkeeping; the worker reads the request after req and writes the
-// outcome before done. Every method is a no-op on nil, the serial
-// search.
+// bookkeeping; the worker reads each candidate from req and writes the
+// outcome before it signals done. Every method is a no-op on nil, the
+// serial search.
 type speculator struct {
-	obj       func([]float64) (float64, error)
-	running   bool // the worker has been started
-	req, done signal
-	point     []float64 // the candidate to score
-	quit      bool      // set before the last req: the worker returns
+	obj  func([]float64) (float64, error)
+	req  chan []float64 // nil until the worker starts
+	done chan struct{}
 
 	// Written by the worker, read after done.
 	rt       float64
@@ -32,18 +28,14 @@ type speculator struct {
 	used  int  // speculative values the search consumed
 }
 
-// run is the worker: one call per request, its outcome (a panic
-// included) handed back through done, until quit, which it acknowledges
-// through done as it returns.
+// run is the worker: one call per candidate, its outcome (a panic
+// included) handed back through done, until req is closed, when it
+// closes done as it returns.
 func (s *speculator) run() {
-	for {
-		s.req.wait()
-		if s.quit {
-			s.done.raise()
-			return
-		}
-		s.rt, s.err, s.pval, s.panicked = call(s.obj, s.point)
-		s.done.raise()
+	defer close(s.done)
+	for p := range s.req {
+		s.rt, s.err, s.pval, s.panicked = call(s.obj, p)
+		s.done <- struct{}{}
 	}
 }
 
@@ -60,51 +52,6 @@ func call(obj func([]float64) (float64, error), p []float64) (rt float64, err er
 	return rt, err, nil, false
 }
 
-// signalSpins bounds how many times a waiter yields its processor before
-// it sleeps. Rounds of a speculating search come back to back, each one
-// prediction long; a waiter that sleeps between them leaves its thread
-// to be woken for the next one, which on a virtual machine can take as
-// long as the prediction it was meant to overlap. A few thousand yields
-// span a few hundred microseconds.
-const signalSpins = 4096
-
-// signal hands one event from one goroutine to another. The waiter
-// spins first, yielding its processor each round so it never starves
-// the goroutine it waits for, and then sleeps on a channel.
-type signal struct {
-	raised   atomic.Bool
-	sleeping atomic.Bool
-	wake     chan struct{}
-}
-
-// raise delivers the event, waking the waiter if it sleeps.
-func (g *signal) raise() {
-	g.raised.Store(true)
-	if g.sleeping.Load() {
-		select {
-		case g.wake <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// wait blocks until the event is raised and consumes it. A wake-up left
-// over from an earlier round only sends it around the loop again.
-func (g *signal) wait() {
-	for spin := 0; !g.raised.Load(); spin++ {
-		if spin < signalSpins {
-			runtime.Gosched()
-			continue
-		}
-		g.sleeping.Store(true)
-		if !g.raised.Load() {
-			<-g.wake
-		}
-		g.sleeping.Store(false)
-	}
-	g.raised.Store(false)
-}
-
 // ahead starts scoring the first proposal, from iteration from on, that
 // moves off cur, drawn from g; none starts when every proposal before
 // iteration n clamps onto cur or ctx is done. The first call starts the
@@ -116,16 +63,14 @@ func (s *speculator) ahead(ctx context.Context, g dist.RNG, cur []float64, from,
 	s.drop()
 	for j := from; j < n; j++ {
 		if cand, moved := propose(&g, cur, space); moved {
-			if !s.running {
-				s.running = true
-				s.req.wake = make(chan struct{}, 1)
-				s.done.wake = make(chan struct{}, 1)
+			if s.req == nil {
+				s.req = make(chan []float64, 1)
+				s.done = make(chan struct{}, 1)
 				go s.run()
 			}
 			s.busy, s.iter = true, j
 			s.calls++
-			s.point = cand
-			s.req.raise()
+			s.req <- cand
 			return
 		}
 	}
@@ -140,7 +85,7 @@ func (s *speculator) holds(i int) bool {
 // take returns the speculative value, waiting for it. A consumed panic
 // is raised again here.
 func (s *speculator) take() (float64, error) {
-	s.done.wait()
+	<-s.done
 	s.busy = false
 	s.used++
 	if s.panicked {
@@ -160,7 +105,7 @@ func (s *speculator) moot() {
 // drop waits for the call in flight, if any, and discards its outcome.
 func (s *speculator) drop() {
 	if s.busy {
-		s.done.wait()
+		<-s.done
 		s.busy = false
 	}
 }
@@ -168,11 +113,10 @@ func (s *speculator) drop() {
 // stop waits for the call in flight, then ends the worker and waits for
 // it to return.
 func (s *speculator) stop() {
-	if !s.running {
+	if s.req == nil {
 		return
 	}
 	s.drop()
-	s.quit = true
-	s.req.raise()
-	s.done.wait()
+	close(s.req)
+	<-s.done
 }

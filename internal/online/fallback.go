@@ -45,7 +45,8 @@ type FallbackConfig struct {
 	// over; each decision stamps the estimator-tier provenance (which
 	// ladder tier dominated the decision's model queries, and how many
 	// were answered below simulation cost) into its DecisionRecord. May
-	// be nil; only then may the searches score ahead (see Controller).
+	// be nil; only then, and only over models that report no tiers of
+	// their own, may the searches score ahead (see Controller).
 	Tiers *tier.Estimator
 	// Clock times selections and searches for decision provenance; nil
 	// uses the real clock.
@@ -97,6 +98,14 @@ type FallbackController struct {
 	m fallbackMetrics
 }
 
+// tiered reports whether m says a tier estimator answers its
+// predictions, as core.NoML, core.Hybrid and SurfaceModel do through a
+// Tiered method.
+func tiered(m core.Model) bool {
+	t, ok := m.(interface{ Tiered() bool })
+	return ok && t.Tiered()
+}
+
 // NewFallbackController validates the config and returns a controller
 // starting at LevelHybrid.
 func NewFallbackController(cfg FallbackConfig) (*FallbackController, error) {
@@ -108,7 +117,6 @@ func NewFallbackController(cfg FallbackConfig) (*FallbackController, error) {
 	}
 	cfg.Watchdog = cfg.Watchdog.withDefaults()
 	reg := obs.Or(cfg.Metrics)
-	pure := cfg.Tiers == nil
 	f := &FallbackController{
 		cfg: cfg,
 		primary: &Controller{
@@ -116,14 +124,14 @@ func NewFallbackController(cfg FallbackConfig) (*FallbackController, error) {
 			MaxTimeout: cfg.MaxTimeout, AnnealIter: cfg.AnnealIter,
 			Seed: cfg.Seed, RetuneThreshold: cfg.RetuneThreshold,
 			Metrics: cfg.Metrics, Breaker: cfg.Breaker, Clock: cfg.Clock,
-			pure: pure,
+			pure: cfg.Tiers == nil && !tiered(cfg.Primary),
 		},
 		fallback: &Controller{
 			Model: cfg.Fallback, Dataset: cfg.Dataset, Base: cfg.Base,
 			MaxTimeout: cfg.MaxTimeout, AnnealIter: cfg.AnnealIter,
 			Seed: cfg.Seed ^ 0xa5a5a5a55a5a5a5a, RetuneThreshold: cfg.RetuneThreshold,
 			Metrics: cfg.Metrics, Clock: cfg.Clock,
-			pure: pure,
+			pure: cfg.Tiers == nil && !tiered(cfg.Fallback),
 		},
 		active: NewWatchdog(cfg.Watchdog),
 		probe:  NewWatchdog(cfg.Watchdog),

@@ -138,21 +138,24 @@ func (e *RateEstimator) Observations() int { return len(e.times) }
 // whenever the estimated arrival rate drifts by more than
 // RetuneThreshold (relative).
 //
-// A controller built by NewFallbackController over untiered models
-// (FallbackConfig.Tiers nil) scores the search's rejection branch ahead
-// on a second core (explore.Options.Speculate) when GOMAXPROCS > 1 and
-// its last two searches, timed on Clock, each spent at least
-// speculateMinNanos per prediction: far more than the handoff to the
-// second goroutine. The first search reads for both, and runs serially
-// itself. Its decisions
-// are the serial search's, bit for bit, because an untiered prediction
-// is a pure, memoized function of its scenario. A tiered one is not:
-// the estimator's ladder and cache answer by what it was asked before,
-// so a speculative query could change a later answer, and tiered models
-// stay serial. sprintd's closed-form surface predicts far under the gate
-// and stays serial too; under the delay fault a tenant's predictions
-// read as costly and its next search may speculate, with the same
-// decisions. A controller built directly never speculates.
+// A controller built by NewFallbackController over an untiered model
+// (FallbackConfig.Tiers nil, and the model reports no tiers of its own)
+// scores the search's rejection branch ahead on a second core
+// (explore.Options.Speculate) when GOMAXPROCS > 1 and its last two
+// searches, timed on Clock, each read at least speculateMinNanos per
+// prediction: far more than the handoff to the second goroutine. The
+// first search reads for both, and runs serially itself. A speculating
+// search reads its predictions at one to about two times their cost, so
+// a costly model keeps speculating and one that turns cheap stops. Its
+// decisions are the serial search's, bit for bit, because an untiered
+// prediction is a pure, memoized function of its scenario. A tiered one
+// is not: the estimator's ladder and cache answer by what it was asked
+// before, so a speculative query could change a later answer, and
+// tiered models stay serial. sprintd's tenants are tiered when they
+// have a tier spec; the closed-form surface of the others predicts far
+// under the gate and stays serial too, until the delay fault makes its
+// predictions read as costly, with the same decisions. A controller
+// built directly never speculates.
 type Controller struct {
 	// Model predicts response time against Dataset.
 	Model   core.Model
@@ -189,9 +192,11 @@ type Controller struct {
 
 	// pure reports that Model is a pure function of its scenario, safe
 	// for concurrent use: NewFallbackController sets it for untiered
-	// models. callNanos holds the wall time per objective call that the
-	// last two searches read on Clock (the first search fills both).
-	// Together they gate speculation (see Controller).
+	// models. callNanos holds the wall time per prediction that the last
+	// two searches read on Clock (the first search fills both); a
+	// speculating search's reading never falls below the cost of one
+	// prediction (see timeout). Together they gate speculation (see
+	// Controller).
 	pure      bool
 	callNanos [2]int64
 	timed     bool // a search has filled callNanos
@@ -209,14 +214,14 @@ type Controller struct {
 // two searches read it, from which a search scores its rejection branch
 // ahead on a second core. Two readings, so that one search stretched by
 // a preemption or a collection does not turn speculation on.
-// BenchmarkMinimizeSpeculation (2-vCPU shared VM) puts the handoff to
-// the search's second goroutine at ~0.4 µs per round (0.11 → 0.45–0.52
-// µs per consumed call for a free objective), but what the second core
-// gives back depends on how much of it the host lends: speculation lost
-// at 6 µs calls (5.7 → 5.9–11.5 µs per consumed call), won or lost at 55
-// µs (→ 33–70 µs) and always won at 510 µs (→ 312–316 µs). A hybrid
-// prediction takes ~330 µs; sprintd's closed-form surface well under
-// 1 µs.
+// BenchmarkMinimizeSpeculation (2-vCPU shared VM) puts the channel
+// handoff to the search's second goroutine at ~0.65 µs per round (0.07–
+// 0.10 → 0.71–0.79 µs per consumed call for a free objective), but a
+// sleeping goroutine can take far longer to wake on a busy host:
+// speculation lost at 5.3 µs calls (→ 6.9–7.2 µs per consumed call) and
+// at 52 µs (→ 56–59 µs), and won from 107 µs (→ 93 µs), 220 µs (→ 156
+// µs) and 560 µs (→ 342–353 µs). A hybrid prediction takes ~330 µs;
+// sprintd's closed-form surface well under 1 µs.
 const speculateMinNanos = 100_000
 
 // speculate reports whether the next search may score ahead: the model
@@ -299,12 +304,21 @@ func (c *Controller) timeout(ctx context.Context, estimatedRate float64) (float6
 	c.searchCtx, c.searchRate = ctx, estimatedRate
 	clk := obs.ClockOr(c.Clock)
 	searchStart := clk.Now()
+	spec := c.speculate()
 	res, err := explore.MinimizeCtx(ctx, c.score, explore.TimeoutSpace(0, maxTO),
-		explore.Options{MaxIter: iter, Seed: c.Seed + uint64(c.retunes), Speculate: c.speculate()})
+		explore.Options{MaxIter: iter, Seed: c.Seed + uint64(c.retunes), Speculate: spec})
 	c.searchCtx = nil
 	searchNanos := clk.Now().Sub(searchStart).Nanoseconds()
-	if res.Evaluations > 0 {
-		n := searchNanos / int64(res.Evaluations)
+	// A serial search waits on each value it consumes in turn. A
+	// speculating one waits on its own calls in turn, each with at most
+	// one speculative call beside it, so it consumes at most two values
+	// per own call: dividing by half its consumed values reads at least
+	// the cost of one call, and at most about twice it.
+	if calls := int64(res.Evaluations - res.Speculative); calls > 0 {
+		if spec {
+			calls = (calls + 1) / 2
+		}
+		n := searchNanos / calls
 		if !c.timed {
 			c.callNanos[1], c.timed = n, true // the first search reads for both
 		}

@@ -134,6 +134,10 @@ func (m *SurfaceModel) Predict(_ *profiler.Dataset, sc core.Scenario) (core.Pred
 // staged tier estimator. Call before the model serves predictions.
 func (m *SurfaceModel) SetTiers(est *tier.Estimator) { m.est = est }
 
+// Tiered reports whether a tier estimator answers the model's
+// predictions (SetTiers).
+func (m *SurfaceModel) Tiered() bool { return m.est != nil }
+
 // task returns the M/M/1 query for the (lambda, muEff) operating
 // point, rebuilding the cached task only when the point moves — the
 // steady-state decide loop revisits one point, so this path performs

@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"mdsprint/internal/dist"
 	"mdsprint/internal/obs"
@@ -502,28 +501,28 @@ type samplePath struct {
 // NewRunner returns an empty reusable runner.
 func NewRunner() *Runner { return &Runner{} }
 
-// idleRunners and runnerPool recycle Runners across the package-level
-// entry points (Run, RunReps, Predict), so sweep batches, calibration
-// searches and a speculating search's second goroutine reuse warmed
-// slabs across tasks. Reuse only affects buffer capacity, never results:
-// every run fully reinitializes the runner from its Params. Up to
-// GOMAXPROCS runners wait in idleRunners, which any goroutine can take
-// from and no collection empties; the rest go to runnerPool. A
-// sync.Pool alone drops its runners every other collection and keeps
-// each processor's last one where only that processor can take it, so a
-// goroutine that moved rebuilt a runner from nothing: in sprintbench's
-// pipeline that rebuilding was a third of the bytes allocated.
-var (
-	idleRunners = make(chan *Runner, runtime.GOMAXPROCS(0))
-	runnerPool  = sync.Pool{New: func() any { return NewRunner() }}
-)
+// idleRunners recycles Runners across the package-level entry points
+// (Run, RunReps, Predict), so sweep batches, calibration searches and a
+// speculating search's second goroutine reuse warmed slabs across tasks.
+// Reuse only affects buffer capacity, never results: every run fully
+// reinitializes the runner from its Params. It holds one runner per CPU,
+// the default worker count of the sweep, profiler and calibration pools,
+// plus one for a speculating search; a runner returned to a full channel
+// is left to the collector. Unlike a sync.Pool, any goroutine can take
+// any idle runner and no collection empties the channel: a pool drops
+// its runners every other collection and keeps each processor's last one
+// where only that processor can take it, so a goroutine that moved
+// rebuilt a runner from nothing, in sprintbench's pipeline a third of
+// the bytes allocated. The price is that the idle runners keep their
+// largest buffers for the life of the process.
+var idleRunners = make(chan *Runner, runtime.NumCPU()+1)
 
 func getRunner() *Runner {
 	select {
 	case r := <-idleRunners:
 		return r
 	default:
-		return runnerPool.Get().(*Runner)
+		return NewRunner()
 	}
 }
 
@@ -531,7 +530,6 @@ func putRunner(r *Runner) {
 	select {
 	case idleRunners <- r:
 	default:
-		runnerPool.Put(r)
 	}
 }
 
