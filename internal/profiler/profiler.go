@@ -23,6 +23,7 @@ import (
 	"mdsprint/internal/dist"
 	"mdsprint/internal/mech"
 	"mdsprint/internal/obs"
+	"mdsprint/internal/sim"
 	"mdsprint/internal/sprint"
 	"mdsprint/internal/stats"
 	"mdsprint/internal/testbed"
@@ -200,7 +201,7 @@ func (p *Profiler) sustainedRate() float64 {
 // samples. This is profiler output #1.
 func (p *Profiler) MeasureServiceRate() (float64, []float64, float64) {
 	pp := p.defaults()
-	r := replays.Get().(*replay)
+	r := replays.Get()
 	defer replays.Put(r)
 	replayInto(testbed.Config{
 		Mix:         pp.Mix,
@@ -220,7 +221,7 @@ func (p *Profiler) MeasureServiceRate() (float64, []float64, float64) {
 // (mu_m, queries/second). This is profiler output #2.
 func (p *Profiler) MeasureMarginalRate() (float64, float64) {
 	pp := p.defaults()
-	r := replays.Get().(*replay)
+	r := replays.Get()
 	defer replays.Put(r)
 	replayInto(testbed.Config{
 		Mix:       pp.Mix,
@@ -267,9 +268,10 @@ type replay struct {
 	times []float64
 }
 
-// replays recycles replay scratch: a measurement reads its replays'
-// times and keeps neither the records nor the buffer.
-var replays = sync.Pool{New: func() any { return new(replay) }}
+// replays recycles replay scratch, one per CPU, the default worker
+// count: a measurement reads its replays' times and keeps neither the
+// records nor the buffer.
+var replays = sim.NewIdle[replay](runtime.NumCPU())
 
 // RunCondition replays the mix once under cond and returns the
 // observation plus the simulated duration.
@@ -279,7 +281,7 @@ func (p *Profiler) RunCondition(cond Condition, seed uint64) (Observation, float
 	total := 0
 	dur := 0.0
 	m := p.metrics()
-	r := replays.Get().(*replay)
+	r := replays.Get()
 	defer replays.Put(r)
 	rts := r.times[:0]
 	for rep := 0; rep < pp.Replications; rep++ {

@@ -507,31 +507,10 @@ func NewRunner() *Runner { return &Runner{} }
 // Reuse only affects buffer capacity, never results: every run fully
 // reinitializes the runner from its Params. It holds one runner per CPU,
 // the default worker count of the sweep, profiler and calibration pools,
-// plus one for a speculating search; a runner returned to a full channel
-// is left to the collector. Unlike a sync.Pool, any goroutine can take
-// any idle runner and no collection empties the channel: a pool drops
-// its runners every other collection and keeps each processor's last one
-// where only that processor can take it, so a goroutine that moved
-// rebuilt a runner from nothing, in sprintbench's pipeline a third of
-// the bytes allocated. The price is that the idle runners keep their
-// largest buffers for the life of the process.
-var idleRunners = make(chan *Runner, runtime.NumCPU()+1)
-
-func getRunner() *Runner {
-	select {
-	case r := <-idleRunners:
-		return r
-	default:
-		return NewRunner()
-	}
-}
-
-func putRunner(r *Runner) {
-	select {
-	case idleRunners <- r:
-	default:
-	}
-}
+// plus one for a speculating search. Under a sync.Pool, runners rebuilt
+// from nothing were a third of the bytes sprintbench's pipeline
+// allocated.
+var idleRunners = sim.NewIdle[Runner](runtime.NumCPU() + 1)
 
 // resetCore reinitializes the clock, the pending events and every pooled
 // buffer, keeping capacity.
@@ -775,8 +754,8 @@ func (r *Runner) Run(p Params) (*Result, error) {
 
 // Run simulates the configured queue and returns measured response times.
 func Run(p Params) (*Result, error) {
-	r := getRunner()
-	defer putRunner(r)
+	r := idleRunners.Get()
+	defer idleRunners.Put(r)
 	return r.Run(p)
 }
 
@@ -819,8 +798,8 @@ func RunRepsInto(p Params, out []Result) error {
 	if len(out) == 0 {
 		return fmt.Errorf("queuesim: RunRepsInto needs at least one output slot")
 	}
-	r := getRunner()
-	defer putRunner(r)
+	r := idleRunners.Get()
+	defer idleRunners.Put(r)
 	for i := range out {
 		pi := p
 		pi.Seed = repSeed(p.Seed, i)
@@ -1300,8 +1279,8 @@ func Predict(p Params, reps int) (Prediction, error) {
 	if reps <= 0 {
 		reps = 1
 	}
-	r := getRunner()
-	defer putRunner(r)
+	r := idleRunners.Get()
+	defer idleRunners.Put(r)
 	pooled := r.pooledRTs[:0]
 	for i := 0; i < reps; i++ {
 		pi := p

@@ -1,8 +1,9 @@
 // Package sim holds what the module's two discrete-event simulators, the
 // ground-truth testbed (internal/testbed) and the model-side queue
 // simulator (internal/queuesim), share: the (time, seq) order their
-// events fire in, a virtual clock that hands out those keys, and a FIFO
-// lane for timers armed in time order.
+// events fire in, a virtual clock that hands out those keys, a FIFO
+// lane for timers armed in time order, and Idle, the recycler their run
+// scratch waits in between runs.
 //
 // The paper's reference simulator (Algorithm 1) steps a microsecond-
 // resolution clock; firing scheduled events in time order is semantically

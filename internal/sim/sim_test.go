@@ -870,3 +870,27 @@ func TestPooledLaneZeroAllocsSteadyState(t *testing.T) {
 		t.Fatal("no timeout fired; the cycle should exercise both lane outcomes")
 	}
 }
+
+func TestIdleRecycles(t *testing.T) {
+	p := NewIdle[int](2)
+	a, b, c := p.Get(), p.Get(), p.Get()
+	if a == b || b == c || a == c {
+		t.Fatal("Get on an empty recycler returned a value twice")
+	}
+	p.Put(a)
+	p.Put(b)
+	p.Put(c) // full: dropped
+	if got := [2]*int{p.Get(), p.Get()}; got != [2]*int{a, b} {
+		t.Fatalf("Get returned %v, want the values put first, %v", got, [2]*int{a, b})
+	}
+	if d := p.Get(); d == a || d == b || d == c {
+		t.Fatal("a value put into a full recycler came back")
+	}
+	if raceEnabled {
+		return
+	}
+	p.Put(a)
+	if n := testing.AllocsPerRun(100, func() { p.Put(p.Get()) }); n != 0 {
+		t.Fatalf("a warm Get and Put allocate %v times, want 0", n)
+	}
+}

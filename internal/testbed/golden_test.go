@@ -355,14 +355,14 @@ func TestServerMemoAcrossConfigs(t *testing.T) {
 		return res.Queries
 	}
 	n := len(configs())
-	shared := newServer()
+	shared := new(server)
 	for pass := 0; pass < 2; pass++ {
 		for j := 0; j < n; j++ {
 			k := j
 			if pass == 1 {
 				k = n - 1 - j
 			}
-			got, want := run(shared, configs()[k]), run(newServer(), configs()[k])
+			got, want := run(shared, configs()[k]), run(new(server), configs()[k])
 			if len(got) != len(want) {
 				t.Fatalf("config %d: %d records, fresh server gives %d", k, len(got), len(want))
 			}

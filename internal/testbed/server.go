@@ -2,7 +2,7 @@ package testbed
 
 import (
 	"math"
-	"sync"
+	"runtime"
 
 	"mdsprint/internal/dist"
 	"mdsprint/internal/sim"
@@ -127,10 +127,13 @@ func (m *distMemo) set(kind dist.Kind, a, b float64, d dist.Dist) dist.Dist {
 // logNormal labels the memoized service distributions.
 const logNormal dist.Kind = "lognormal"
 
-var serverPool = sync.Pool{New: func() any { return newServer() }}
-
-// newServer builds an empty server.
-func newServer() *server { return &server{} }
+// idleServers recycles servers across RunInto calls, one per CPU, the
+// default worker count of the profiler's replays. Under a sync.Pool,
+// servers and their buffers rebuilt after each collection were most of
+// the bytes sprintbench's pipeline allocated once the simulator's runners
+// stopped being rebuilt, and how many were rebuilt hung on when the
+// collector ran.
+var idleServers = sim.NewIdle[server](runtime.NumCPU())
 
 // reset prepares s for one run of cfg (defaults applied), keeping every
 // pooled buffer's capacity. The run writes its records into records

@@ -215,12 +215,12 @@ func RunInto(cfg Config, res *Result) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
-	s := serverPool.Get().(*server)
+	s := idleServers.Get()
 	s.reset(cfg.withDefaults(), res.records)
 	s.run()
 	s.result(res)
 	s.release()
-	serverPool.Put(s)
+	idleServers.Put(s)
 	return nil
 }
 
