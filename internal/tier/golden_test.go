@@ -76,19 +76,21 @@ func (g *goldenDigest) sum() uint64 {
 // six specs: the per-task path over the stream, the batched path cold
 // then warm, and a batch with one invalid task (the batched short pass
 // fails and every shortable task is resolved serially). Each estimator's
-// Stats are folded in after its calls.
+// Stats are folded in after its calls. estimate pins the per-task path
+// and its Stats alone.
 func TestTierGoldenDigest(t *testing.T) {
 	specs := []struct {
-		name string
-		spec Spec
-		want uint64
+		name     string
+		spec     Spec
+		estimate uint64
+		want     uint64
 	}{
-		{"default", Spec{}, 0x1de7d44d5ed71032},
-		{"bound=0.3", Spec{Bound: 0.3}, 0xc2cd6ba1b0641bcf},
-		{"bound=0.5,reps=4", Spec{Bound: 0.5, ShortReps: 4}, 0x9edab90a4d813ff2},
-		{"-analytic", Spec{NoAnalytic: true}, 0x20f161a35444772d},
-		{"-cache", Spec{NoCache: true}, 0x80ff5b41a4009ef9},
-		{"-short", Spec{NoShort: true}, 0x3ca0153b80118c29},
+		{"default", Spec{}, 0xe061b59be3c3e4e9, 0x1de7d44d5ed71032},
+		{"bound=0.3", Spec{Bound: 0.3}, 0xef727b812ac19145, 0xc2cd6ba1b0641bcf},
+		{"bound=0.5,reps=4", Spec{Bound: 0.5, ShortReps: 4}, 0x23e08622e452410a, 0x9edab90a4d813ff2},
+		{"-analytic", Spec{NoAnalytic: true}, 0xb49786825b27ed43, 0x20f161a35444772d},
+		{"-cache", Spec{NoCache: true}, 0x78a6bd6bf0d0af13, 0x80ff5b41a4009ef9},
+		{"-short", Spec{NoShort: true}, 0xa482a018a3387274, 0x3ca0153b80118c29},
 	}
 	stream := goldenStream()
 	bad := mm1Task(0.7, 1, 2000, 9)
@@ -104,6 +106,9 @@ func TestTierGoldenDigest(t *testing.T) {
 			g.answer(p, d, err)
 		}
 		g.stats(serial.Stats())
+		if got := g.sum(); got != sc.estimate {
+			t.Errorf("%s: Estimate digest %#016x, want %#016x", sc.name, got, sc.estimate)
+		}
 
 		batch := newTestEstimator(t, sc.spec, 2)
 		for pass := 0; pass < 2; pass++ {
