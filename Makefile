@@ -148,12 +148,13 @@ bench-obs:
 # alloc-check runs the testing.AllocsPerRun budget tests that pin the
 # simulator hot path at zero steady-state allocations, the testbed's
 # per-run and record-reuse budgets, the profiler's condition replay,
-# forest training's per-tree budget and the sweep memo's miss path.
+# forest training's per-tree budget, the sweep memo's miss path and a
+# memo-hit hybrid prediction.
 # They self-skip under -race (instrumentation allocates), so the merge
 # gate runs them here without it; -count=1 defeats the test cache.
 .PHONY: alloc-check
 alloc-check:
-	$(GO) test -count=1 -run 'ZeroAllocs' ./internal/queuesim ./internal/sim ./internal/server ./internal/tier ./internal/testbed ./internal/profiler ./internal/forest ./internal/sweep
+	$(GO) test -count=1 -run 'ZeroAllocs' ./internal/queuesim ./internal/sim ./internal/server ./internal/tier ./internal/testbed ./internal/profiler ./internal/forest ./internal/sweep ./internal/core
 
 # bench-tier measures the staged RT estimator against always-full
 # evaluation on the mixed stationary query stream (baseline recorded in

@@ -23,7 +23,6 @@ import (
 	"runtime"
 	"sync"
 
-	"mdsprint/internal/fault"
 	"mdsprint/internal/obs"
 	"mdsprint/internal/profiler"
 	"mdsprint/internal/queuesim"
@@ -57,17 +56,6 @@ type Options struct {
 	// simulator evaluations, convergence); nil records into
 	// obs.Default().
 	Metrics *obs.Registry
-	// Breaker, when set, circuit-breaks the per-record search: an open
-	// breaker degrades the record to the prediction-free marginal rate
-	// (mu_e = mu_m, no simulation), and each completed search reports
-	// success or — when the achieved relative error exceeds
-	// DivergentRelError — a divergent-fit failure. Consecutive divergent
-	// fits trip the breaker, so a misbehaving profiler stops burning
-	// simulator time.
-	Breaker *fault.Breaker
-	// DivergentRelError is the achieved relative error above which a fit
-	// counts as divergent for the breaker (default 0.5).
-	DivergentRelError float64
 
 	// span is the tracing parent CalibrateDatasetCtx threads to each
 	// record's search; per-record and per-evaluation spans nest under it.
@@ -90,7 +78,7 @@ func (o Options) metrics() calibMetrics {
 		evals:     reg.Counter("mdsprint_calib_sim_evals_total", "queue-simulator evaluations spent calibrating"),
 		converged: reg.Counter("mdsprint_calib_converged_total", "calibrations that met the tolerance"),
 		relError:  reg.Histogram("mdsprint_calib_rel_error", "achieved |simRT-obsRT|/obsRT per record", 0),
-		degraded:  reg.Counter("mdsprint_calib_degraded_total", "records degraded to mu_m (open breaker or failed simulation)"),
+		degraded:  reg.Counter("mdsprint_calib_degraded_total", "records degraded to mu_m by a failed simulation"),
 	}
 }
 
@@ -112,9 +100,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers == 0 {
 		o.Workers = runtime.NumCPU()
-	}
-	if o.DivergentRelError <= 0 {
-		o.DivergentRelError = 0.5
 	}
 	return o
 }
@@ -139,18 +124,6 @@ type Record struct {
 // RelError returns the achieved |SimRT-ObservedRT|/ObservedRT.
 func (r Record) RelError() float64 {
 	return math.Abs(r.SimRT-r.ObservedRT) / r.ObservedRT
-}
-
-// conditionMarginal returns mu_m for a condition: the dataset's measured
-// marginal rate, clipped when the condition commands a lower sprint rate.
-func conditionMarginal(ds *profiler.Dataset, cond profiler.Condition) float64 {
-	mum := ds.MarginalRate
-	if cond.Speedup > 0 {
-		if cap := cond.Speedup * ds.ServiceRate; cap < mum {
-			mum = cap
-		}
-	}
-	return mum
 }
 
 // simParams builds the queue-simulator parameters for one observation at
@@ -192,7 +165,7 @@ func SimulateRTErr(ds *profiler.Dataset, obs profiler.Observation, rate float64,
 func EffectiveRate(ds *profiler.Dataset, obs profiler.Observation, opts Options) (rec Record) {
 	o := opts.withDefaults()
 	mu := ds.ServiceRate
-	mum := conditionMarginal(ds, obs.Cond)
+	mum := ds.ConditionMarginal(obs.Cond)
 	target := obs.MeanRT
 	rec = Record{
 		Cond:         obs.Cond,
@@ -207,18 +180,6 @@ func EffectiveRate(ds *profiler.Dataset, obs profiler.Observation, opts Options)
 	sp.SetFloat("arrival_rate", obs.ArrivalRate)
 	sp.SetFloat("observed_rt", target)
 	o.span = sp
-	// An open breaker degrades immediately: the record falls back to the
-	// prediction-free marginal rate without spending simulator time.
-	if o.Breaker != nil && !o.Breaker.Allow() {
-		rec.EffectiveRate, rec.SimRT = mum, math.NaN()
-		m := o.metrics()
-		m.records.Inc()
-		m.degraded.Inc()
-		sp.SetBool("degraded", true)
-		sp.SetString("cause", "breaker-open")
-		sp.End()
-		return rec
-	}
 	evals := 0
 	var evalErr error
 	eval := func(rate float64) float64 {
@@ -234,8 +195,7 @@ func EffectiveRate(ds *profiler.Dataset, obs profiler.Observation, opts Options)
 		return rt
 	}
 	// Flush this record's instrumentation once, whichever path returns,
-	// degrade failed searches to mu_m, and report the fit to the breaker
-	// (a failed or divergent fit is a breaker failure).
+	// and degrade failed searches to mu_m.
 	defer func() {
 		m := o.metrics()
 		m.records.Inc()
@@ -249,13 +209,6 @@ func EffectiveRate(ds *profiler.Dataset, obs profiler.Observation, opts Options)
 			m.relError.Observe(relErr)
 			if relErr <= o.Tolerance {
 				m.converged.Inc()
-			}
-		}
-		if o.Breaker != nil {
-			if evalErr != nil || (!math.IsNaN(relErr) && relErr > o.DivergentRelError) {
-				o.Breaker.Failure()
-			} else {
-				o.Breaker.Success()
 			}
 		}
 		sp.SetInt("evals", int64(evals))

@@ -60,15 +60,15 @@ func TestEffectiveBelowMarginalWithRuntimeFactors(t *testing.T) {
 
 func TestConditionMarginalClipsCommandedSpeedup(t *testing.T) {
 	ds := &profiler.Dataset{ServiceRate: 0.01, MarginalRate: 0.05}
-	full := conditionMarginal(ds, profiler.Condition{})
+	full := ds.ConditionMarginal(profiler.Condition{})
 	if full != 0.05 {
 		t.Fatalf("uncommanded marginal %v, want 0.05", full)
 	}
-	clipped := conditionMarginal(ds, profiler.Condition{Speedup: 3})
+	clipped := ds.ConditionMarginal(profiler.Condition{Speedup: 3})
 	if clipped != 0.03 {
 		t.Fatalf("commanded marginal %v, want 0.03", clipped)
 	}
-	uncapped := conditionMarginal(ds, profiler.Condition{Speedup: 9})
+	uncapped := ds.ConditionMarginal(profiler.Condition{Speedup: 9})
 	if uncapped != 0.05 {
 		t.Fatalf("over-commanded marginal %v, want 0.05", uncapped)
 	}

@@ -123,14 +123,12 @@ func (p Plan) String() string {
 // SimEstimator estimates response times with the timeout-aware queue
 // simulator, using the class's service model at the plan's throttled
 // rate — the model-driven path of Section 4.4. Planners hand it whole
-// candidate chunks, which the sweep engine shards and memoizes.
+// candidate chunks, which the process-shared sweep engine shards and
+// memoizes.
 type SimEstimator struct {
 	SimQueries int
 	SimReps    int
 	Seed       uint64
-	// Engine evaluates (and memoizes) the simulations; nil uses
-	// sweep.Shared().
-	Engine *sweep.Engine
 }
 
 func (e SimEstimator) Params(w Workload, p Plan) queuesim.Params {
@@ -164,7 +162,7 @@ func (e SimEstimator) reps() int {
 
 // MeanRT simulates the workload under the plan.
 func (e SimEstimator) MeanRT(w Workload, p Plan) float64 {
-	pred, err := sweep.Or(e.Engine).Evaluate(sweep.Task{Params: e.Params(w, p), Reps: e.reps()})
+	pred, err := sweep.Shared().Evaluate(sweep.Task{Params: e.Params(w, p), Reps: e.reps()})
 	if err != nil {
 		panic(fmt.Sprintf("colocate: %v", err))
 	}
@@ -177,7 +175,7 @@ func (e SimEstimator) MeanRTs(w Workload, plans []Plan) []float64 {
 	for i, p := range plans {
 		tasks[i] = sweep.Task{Params: e.Params(w, p), Reps: e.reps()}
 	}
-	rts, err := sweep.Or(e.Engine).MeanRTs(tasks)
+	rts, err := sweep.Shared().MeanRTs(tasks)
 	if err != nil {
 		panic(fmt.Sprintf("colocate: %v", err))
 	}

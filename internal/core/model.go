@@ -20,18 +20,15 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"mdsprint/internal/ann"
 	"mdsprint/internal/calib"
 	"mdsprint/internal/dist"
-	"mdsprint/internal/fault"
 	"mdsprint/internal/forest"
 	"mdsprint/internal/obs"
 	"mdsprint/internal/profiler"
 	"mdsprint/internal/queuesim"
 	"mdsprint/internal/sweep"
-	"mdsprint/internal/tier"
 )
 
 // Scenario is one prediction request: a sprinting policy plus workload
@@ -97,16 +94,26 @@ func FeatureNames() []string {
 	}
 }
 
+// numFeatures is len(FeatureNames()).
+const numFeatures = 11
+
 // Features encodes a scenario against its dataset.
 func Features(ds *profiler.Dataset, sc Scenario) []float64 {
+	f := features(ds, sc)
+	return f[:]
+}
+
+// features is Features into a fixed-size array, so a prediction can
+// encode its scenario on the stack.
+func features(ds *profiler.Dataset, sc Scenario) [numFeatures]float64 {
 	lambda := sc.arrivalRate(ds)
 	mu := ds.ServiceRate
-	mum := conditionMarginal(ds, sc.Cond)
+	mum := ds.ConditionMarginal(sc.Cond)
 	pareto := 0.0
 	if sc.Cond.ArrivalKind == dist.KindPareto {
 		pareto = 1
 	}
-	return []float64{
+	return [numFeatures]float64{
 		lambda,
 		lambda / mu,
 		mu,
@@ -119,17 +126,6 @@ func Features(ds *profiler.Dataset, sc Scenario) []float64 {
 		sc.Cond.BudgetPct * sc.Cond.RefillTime,
 		pareto,
 	}
-}
-
-// conditionMarginal mirrors calib's commanded-speedup clipping.
-func conditionMarginal(ds *profiler.Dataset, cond profiler.Condition) float64 {
-	mum := ds.MarginalRate
-	if cond.Speedup > 0 {
-		if cap := cond.Speedup * ds.ServiceRate; cap < mum {
-			mum = cap
-		}
-	}
-	return mum
 }
 
 // TrainingSet couples a profiled dataset with the observations used for
@@ -191,13 +187,11 @@ func toPrediction(p queuesim.Prediction, rate float64) Prediction {
 	}
 }
 
-// simulate evaluates one scenario through the sweep engine — or, when
-// est is non-nil, through the staged tier estimator, which serves the
-// cheapest tier whose error bound suffices and annotates the span with
-// the tier that answered. The prediction is one "core.predict" span
-// (nested under the context's span, or a root on the active tracer)
-// with the sweep evaluation as its child.
-func simulate(ctx context.Context, e *sweep.Engine, est *tier.Estimator, ds *profiler.Dataset, sc Scenario, rate float64, queries, reps int, seed uint64, tracer obs.QueryTracer) (Prediction, error) {
+// simulate evaluates one scenario through the sweep engine (nil: the
+// shared one). The prediction is one "core.predict" span (nested under
+// the context's span, or a root on the active tracer) with the sweep
+// evaluation as its child.
+func simulate(ctx context.Context, e *sweep.Engine, ds *profiler.Dataset, sc Scenario, rate float64, queries, reps int, seed uint64, tracer obs.QueryTracer) (Prediction, error) {
 	t, err := simTask(ds, sc, rate, queries, reps, seed, tracer)
 	if err != nil {
 		return Prediction{}, err
@@ -206,15 +200,7 @@ func simulate(ctx context.Context, e *sweep.Engine, est *tier.Estimator, ds *pro
 	sp.SetFloat("sprint_rate", rate)
 	sp.SetFloat("timeout_s", sc.Cond.Timeout)
 	start := modelClock.Now()
-	var pred queuesim.Prediction
-	if est != nil {
-		var dec tier.Decision
-		pred, dec, err = est.Estimate(t)
-		sp.SetString("tier", dec.Tier.String())
-		sp.SetFloat("tier_err_estimate", dec.ErrEstimate)
-	} else {
-		pred, err = sweep.Or(e).EvaluateSpan(sp, t)
-	}
+	pred, err := sweep.Or(e).EvaluateSpan(sp, t)
 	sp.SetError(err)
 	sp.End()
 	if err != nil {
@@ -226,12 +212,11 @@ func simulate(ctx context.Context, e *sweep.Engine, est *tier.Estimator, ds *pro
 }
 
 // simulateAll evaluates a batch of scenarios at per-scenario sprint
-// rates, sharded across the engine's workers with results in scenario
-// order — or through the tier estimator's batched three-pass path when
-// est is non-nil. The batch is one "core.predict_batch" span with the
-// sweep batch (and its per-task cache annotations) nested under it; the
-// tiered path annotates how many answers the cheap tiers absorbed.
-func simulateAll(ctx context.Context, e *sweep.Engine, est *tier.Estimator, ds *profiler.Dataset, scs []Scenario, rates []float64, queries, reps int, seed uint64, tracer obs.QueryTracer) ([]Prediction, error) {
+// rates, sharded across the engine's workers (nil: the shared engine's)
+// with results in scenario order. The batch is one "core.predict_batch"
+// span with the sweep batch (and its per-task cache annotations) nested
+// under it.
+func simulateAll(ctx context.Context, e *sweep.Engine, ds *profiler.Dataset, scs []Scenario, rates []float64, queries, reps int, seed uint64, tracer obs.QueryTracer) ([]Prediction, error) {
 	tasks := make([]sweep.Task, len(scs))
 	for i, sc := range scs {
 		t, err := simTask(ds, sc, rates[i], queries, reps, seed, tracer)
@@ -243,21 +228,7 @@ func simulateAll(ctx context.Context, e *sweep.Engine, est *tier.Estimator, ds *
 	sp := obs.StartSpanCtx(ctx, "core.predict_batch")
 	sp.SetInt("scenarios", int64(len(scs)))
 	start := modelClock.Now()
-	var preds []queuesim.Prediction
-	var err error
-	if est != nil {
-		var decs []tier.Decision
-		preds, decs, err = est.EstimateAll(tasks)
-		cheap := int64(0)
-		for _, d := range decs {
-			if d.Tier == tier.TierAnalytic || d.Tier == tier.TierCache {
-				cheap++
-			}
-		}
-		sp.SetInt("tier_cheap", cheap)
-	} else {
-		preds, err = sweep.Or(e).EvaluateAll(obs.ContextWithSpan(ctx, sp), tasks)
-	}
+	preds, err := sweep.Or(e).EvaluateAll(obs.ContextWithSpan(ctx, sp), tasks)
 	sp.SetError(err)
 	sp.End()
 	if err != nil {
@@ -272,8 +243,8 @@ func simulateAll(ctx context.Context, e *sweep.Engine, est *tier.Estimator, ds *
 	return out, nil
 }
 
-// engineFor resolves a model's evaluation engine: an explicit engine
-// wins; a legacy Workers hint gets a dedicated pool of that size;
+// engineFor resolves a hybrid model's evaluation engine: an explicit
+// engine wins; a Workers hint gets a dedicated pool of that size;
 // otherwise the process-shared engine serves.
 func engineFor(e *sweep.Engine, workers int) *sweep.Engine {
 	if e != nil {
@@ -396,41 +367,16 @@ func (a *ANN) Predict(ds *profiler.Dataset, sc Scenario) (Prediction, error) {
 }
 
 // NoML is the simulator-only ablation: marginal sprint rate in, response
-// time out, no learning.
+// time out, no learning. Its simulations run on the process-shared sweep
+// engine.
 type NoML struct {
 	// SimQueries and SimReps size each prediction (defaults 4000/2).
 	SimQueries int
 	SimReps    int
-	// Workers sizes a dedicated evaluation pool when Engine is nil;
-	// zero shares the process-wide sweep engine.
-	Workers int
-	Seed    uint64
-	// Engine evaluates (and memoizes) the prediction simulations; nil
-	// resolves per Workers above.
-	Engine *sweep.Engine
-	// Tiers, when non-nil, answers predictions with the cheapest
-	// sufficient tier (analytic closed form, sweep-cache hit, short
-	// replications) instead of always simulating; it supersedes Engine
-	// for answering, using its own engine for the simulation tiers.
-	Tiers *tier.Estimator
-	// Tracer forwards the prediction simulations' lifecycle events
-	// (and disables memoization for them).
-	Tracer obs.QueryTracer
-
-	engineOnce sync.Once
-	engine     *sweep.Engine
+	Seed       uint64
 }
 
 func (n *NoML) Name() string { return "No-ML" }
-
-// Tiered reports whether a tier estimator answers the model's
-// predictions (Tiers).
-func (n *NoML) Tiered() bool { return n.Tiers != nil }
-
-func (n *NoML) resolveEngine() *sweep.Engine {
-	n.engineOnce.Do(func() { n.engine = engineFor(n.Engine, n.Workers) })
-	return n.engine
-}
 
 func (n *NoML) simSizes() (queries, reps int) {
 	queries, reps = n.SimQueries, n.SimReps
@@ -450,7 +396,7 @@ func (n *NoML) Predict(ds *profiler.Dataset, sc Scenario) (Prediction, error) {
 // PredictCtx is Predict honoring cancellation and span tracing.
 func (n *NoML) PredictCtx(ctx context.Context, ds *profiler.Dataset, sc Scenario) (Prediction, error) {
 	queries, reps := n.simSizes()
-	return simulate(ctx, n.resolveEngine(), n.Tiers, ds, sc, conditionMarginal(ds, sc.Cond), queries, reps, n.Seed, n.Tracer)
+	return simulate(ctx, nil, ds, sc, ds.ConditionMarginal(sc.Cond), queries, reps, n.Seed, nil)
 }
 
 // PredictAllCtx scores a batch of scenarios as one sweep, honoring
@@ -459,9 +405,9 @@ func (n *NoML) PredictAllCtx(ctx context.Context, ds *profiler.Dataset, scs []Sc
 	queries, reps := n.simSizes()
 	rates := make([]float64, len(scs))
 	for i, sc := range scs {
-		rates[i] = conditionMarginal(ds, sc.Cond)
+		rates[i] = ds.ConditionMarginal(sc.Cond)
 	}
-	return simulateAll(ctx, n.resolveEngine(), n.Tiers, ds, scs, rates, queries, reps, n.Seed, n.Tracer)
+	return simulateAll(ctx, nil, ds, scs, rates, queries, reps, n.Seed, nil)
 }
 
 // ensure interface conformance.
@@ -481,7 +427,6 @@ type Hybrid struct {
 	simReps    int
 	seed       uint64
 	engine     *sweep.Engine
-	tiers      *tier.Estimator
 	tracer     obs.QueryTracer
 }
 
@@ -505,15 +450,6 @@ type HybridOptions struct {
 	// events. Both may be nil.
 	Metrics *obs.Registry
 	Tracer  obs.QueryTracer
-	// Breaker circuit-breaks the calibration searches (threaded into
-	// Calib when Calib.Breaker is unset): consecutive divergent mu_e
-	// fits trip it and later records degrade to mu_m instead of burning
-	// simulator time on a misbehaving profile. May be nil.
-	Breaker *fault.Breaker
-	// Tiers, when non-nil, answers the trained model's predictions with
-	// the cheapest sufficient tier instead of always simulating (see
-	// NoML.Tiers). Training/calibration is unaffected.
-	Tiers *tier.Estimator
 }
 
 // TrainHybrid calibrates effective sprint rates for every training
@@ -543,9 +479,6 @@ func TrainHybridCtx(ctx context.Context, sets []TrainingSet, o HybridOptions) (h
 	}
 	if copts.Engine == nil {
 		copts.Engine = o.Engine
-	}
-	if copts.Breaker == nil {
-		copts.Breaker = o.Breaker
 	}
 	var samples []forest.Sample
 	var records []calib.Record
@@ -586,7 +519,6 @@ func TrainHybridCtx(ctx context.Context, sets []TrainingSet, o HybridOptions) (h
 		simReps:    o.SimReps,
 		seed:       o.Seed,
 		engine:     engineFor(o.Engine, o.Workers),
-		tiers:      o.Tiers,
 		tracer:     o.Tracer,
 	}
 	if h.simQueries == 0 {
@@ -613,17 +545,14 @@ func NewHybridFromForest(f *forest.Forest, simQueries, simReps, workers int, see
 
 func (h *Hybrid) Name() string { return "Hybrid" }
 
-// Tiered reports whether a tier estimator answers the model's
-// predictions (HybridOptions.Tiers).
-func (h *Hybrid) Tiered() bool { return h.tiers != nil }
-
 // EffectiveRate returns the forest's mu_e estimate for a scenario,
 // clamped to the physically sensible band [0.5*mu, 3*mu_m]. The band
 // extends below the service rate because congested toggling can make
 // sprints net-negative (Section 2.3's runtime factors).
 func (h *Hybrid) EffectiveRate(ds *profiler.Dataset, sc Scenario) float64 {
-	mum := conditionMarginal(ds, sc.Cond)
-	rate := h.forest.Predict(Features(ds, sc), mum)
+	mum := ds.ConditionMarginal(sc.Cond)
+	f := features(ds, sc)
+	rate := h.forest.Predict(f[:], mum)
 	if min := 0.5 * ds.ServiceRate; rate < min {
 		rate = min
 	}
@@ -641,7 +570,7 @@ func (h *Hybrid) Predict(ds *profiler.Dataset, sc Scenario) (Prediction, error) 
 
 // PredictCtx is Predict honoring cancellation and span tracing.
 func (h *Hybrid) PredictCtx(ctx context.Context, ds *profiler.Dataset, sc Scenario) (Prediction, error) {
-	return simulate(ctx, h.engine, h.tiers, ds, sc, h.EffectiveRate(ds, sc), h.simQueries, h.simReps, h.seed, h.tracer)
+	return simulate(ctx, h.engine, ds, sc, h.EffectiveRate(ds, sc), h.simQueries, h.simReps, h.seed, h.tracer)
 }
 
 // PredictAllCtx runs the pipeline for a batch of scenarios as one
@@ -653,7 +582,7 @@ func (h *Hybrid) PredictAllCtx(ctx context.Context, ds *profiler.Dataset, scs []
 	for i, sc := range scs {
 		rates[i] = h.EffectiveRate(ds, sc)
 	}
-	return simulateAll(ctx, h.engine, h.tiers, ds, scs, rates, h.simQueries, h.simReps, h.seed, h.tracer)
+	return simulateAll(ctx, h.engine, ds, scs, rates, h.simQueries, h.simReps, h.seed, h.tracer)
 }
 
 // Records exposes the calibrated training rows (for diagnostics and the

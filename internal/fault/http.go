@@ -6,13 +6,12 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"time"
 
 	"mdsprint/internal/obs"
 )
 
 // HTTPFaultConfig scripts transport-level faults for the HTTP harness:
-// connection drops, latency spikes, and injected 5xx responses.
+// connection drops and injected 5xx responses.
 type HTTPFaultConfig struct {
 	// Seed drives the per-request fault decisions (keyed by request
 	// sequence number).
@@ -20,9 +19,6 @@ type HTTPFaultConfig struct {
 	// DropProb is the probability a request fails with a connection
 	// error before reaching the upstream.
 	DropProb float64
-	// DelayProb and Delay inject latency spikes before forwarding.
-	DelayProb float64
-	Delay     time.Duration
 	// ErrorProb is the probability the transport synthesizes a 503
 	// without contacting the upstream.
 	ErrorProb float64
@@ -42,9 +38,8 @@ type RoundTripper struct {
 	mu  sync.Mutex
 	seq uint64
 
-	drops  *obs.Counter
-	delays *obs.Counter
-	fives  *obs.Counter
+	drops *obs.Counter
+	fives *obs.Counter
 }
 
 // NewRoundTripper wraps base (nil means http.DefaultTransport) with the
@@ -55,11 +50,10 @@ func NewRoundTripper(base http.RoundTripper, cfg HTTPFaultConfig) *RoundTripper 
 	}
 	reg := obs.Or(cfg.Metrics)
 	return &RoundTripper{
-		base:   base,
-		cfg:    cfg,
-		drops:  reg.Counter("mdsprint_fault_http_drops_total", "injected connection drops"),
-		delays: reg.Counter("mdsprint_fault_http_delays_total", "injected HTTP latency spikes"),
-		fives:  reg.Counter("mdsprint_fault_http_5xx_total", "injected 5xx responses"),
+		base:  base,
+		cfg:   cfg,
+		drops: reg.Counter("mdsprint_fault_http_drops_total", "injected connection drops"),
+		fives: reg.Counter("mdsprint_fault_http_5xx_total", "injected 5xx responses"),
 	}
 }
 
@@ -72,12 +66,7 @@ func (rt *RoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 	rt.mu.Unlock()
 	rng := itemRNG(rt.cfg.Seed, chanHTTP, i)
 	drop := rt.cfg.DropProb > 0 && rng.Float64() < rt.cfg.DropProb
-	delay := rt.cfg.DelayProb > 0 && rng.Float64() < rt.cfg.DelayProb
 	fiveXX := rt.cfg.ErrorProb > 0 && rng.Float64() < rt.cfg.ErrorProb
-	if delay {
-		rt.delays.Inc()
-		time.Sleep(rt.cfg.Delay)
-	}
 	if drop {
 		rt.drops.Inc()
 		return nil, fmt.Errorf("fault: injected connection drop (request %d)", i)

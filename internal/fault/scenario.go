@@ -22,9 +22,6 @@ type Phase struct {
 	// ArrivalFaultConfig).
 	BurstProb float64
 	BurstSize int
-	// NoiseCV is the lognormal sigma of multiplicative noise on
-	// observed response times (0 → 0.05).
-	NoiseCV float64
 	// PrimaryFail makes every primary-model prediction error outright —
 	// a crashed or unreachable model rather than a diverged one. The
 	// controller's search breaker must trip and the chain must demote.

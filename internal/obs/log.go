@@ -12,7 +12,6 @@ type Level int32
 const (
 	LevelDebug Level = iota
 	LevelInfo
-	LevelWarn
 	LevelError
 	// LevelSilent suppresses everything.
 	LevelSilent
@@ -33,16 +32,6 @@ func NewLogger(w io.Writer, level Level) *Logger {
 	return &Logger{w: w, level: level}
 }
 
-// SetLevel adjusts the logger's threshold.
-func (l *Logger) SetLevel(level Level) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.level = level
-	l.mu.Unlock()
-}
-
 func (l *Logger) logf(level Level, prefix, format string, args ...any) {
 	if l == nil {
 		return
@@ -60,9 +49,6 @@ func (l *Logger) Debugf(format string, args ...any) { l.logf(LevelDebug, "", for
 
 // Infof logs routine progress.
 func (l *Logger) Infof(format string, args ...any) { l.logf(LevelInfo, "", format, args...) }
-
-// Warnf logs recoverable oddities.
-func (l *Logger) Warnf(format string, args ...any) { l.logf(LevelWarn, "warning: ", format, args...) }
 
 // Errorf logs failures.
 func (l *Logger) Errorf(format string, args ...any) { l.logf(LevelError, "error: ", format, args...) }

@@ -27,8 +27,8 @@ type ChaosOptions struct {
 // The replay's fixed settings, beyond the surface and controller
 // defaults: the nominal arrival rate (scaled per phase by RateFactor),
 // the virtual-time length of one control step, the arrival-rate
-// estimator's window and smoothing, and the observation noise a phase
-// gets when it scripts none.
+// estimator's window and smoothing, and the lognormal sigma of the
+// multiplicative noise on observed response times.
 const (
 	chaosBaseRate        = 0.7 * DefaultServiceRate
 	chaosStepSeconds     = 4.0
@@ -165,10 +165,6 @@ func RunChaos(sc fault.Scenario, opt ChaosOptions) (*ChaosResult, error) {
 		primary.SetBias(ph.PrimaryBias)
 		primary.SetFailing(ph.PrimaryFail)
 		fallbck.SetBias(ph.FallbackBias)
-		noiseCV := ph.NoiseCV
-		if noiseCV <= 0 {
-			noiseCV = chaosNoiseCV
-		}
 		perturb := fault.NewArrivalFaults(fault.ArrivalFaultConfig{
 			Seed:      sc.Seed + uint64(pi)*0x9e3779b97f4a7c15,
 			BurstProb: ph.BurstProb,
@@ -202,7 +198,7 @@ func RunChaos(sc fault.Scenario, opt ChaosOptions) (*ChaosResult, error) {
 				real = lambda
 			}
 			truth := SurfaceRT(mu, gain, sweet, real, to)
-			sigma := noiseCV
+			sigma := chaosNoiseCV
 			observed := truth * math.Exp(sigma*noiseRNG.NormFloat64()-sigma*sigma/2)
 			// Health verdicts start after the estimator's first full
 			// window: before that, estimate-vs-realized mismatch is a

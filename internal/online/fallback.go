@@ -42,11 +42,13 @@ type FallbackConfig struct {
 	// nil reads the process-shared engine.
 	Engine *sweep.Engine
 	// Tiers, when set, is the staged estimator the models were built
-	// over; each decision stamps the estimator-tier provenance (which
-	// ladder tier dominated the decision's model queries, and how many
-	// were answered below simulation cost) into its DecisionRecord. May
-	// be nil; only then, and only over models that report no tiers of
-	// their own, may the searches score ahead (see Controller).
+	// over (sprintd sets it for a tenant with a tier spec, beside each
+	// SurfaceModel's SetTiers); each decision stamps the estimator-tier
+	// provenance (which ladder tier dominated the decision's model
+	// queries, and how many were answered below simulation cost) into
+	// its DecisionRecord. May be nil; only then, and only over models
+	// that report no tiers of their own, may the searches score ahead
+	// (see Controller).
 	Tiers *tier.Estimator
 	// Clock times selections and searches for decision provenance; nil
 	// uses the real clock.
@@ -99,8 +101,8 @@ type FallbackController struct {
 }
 
 // tiered reports whether m says a tier estimator answers its
-// predictions, as core.NoML, core.Hybrid and SurfaceModel do through a
-// Tiered method.
+// predictions, as a SurfaceModel does after SetTiers. The core models
+// never do: they always simulate.
 func tiered(m core.Model) bool {
 	t, ok := m.(interface{ Tiered() bool })
 	return ok && t.Tiered()

@@ -74,14 +74,14 @@ func JointSearch(c Context, candidates []JointCandidate, opts explore.BatchOptio
 
 		if cand.Discipline.Kind == queuesim.DiscPS {
 			// No timeout knob: score the fixed no-sprint point.
-			mean, err := ctx.meanRT(sweep.Task{
+			pred, err := eng.Evaluate(sweep.Task{
 				Params: simParams(ctx, -1, 0, 0),
 				Reps:   ctx.SimReps,
 			})
 			if err != nil {
 				return nil, -1, fmt.Errorf("policies: %s: %w", cand.Label(), err)
 			}
-			outcomes[i] = JointOutcome{Candidate: cand, Timeout: -1, MeanRT: mean}
+			outcomes[i] = JointOutcome{Candidate: cand, Timeout: -1, MeanRT: pred.MeanRT}
 			continue
 		}
 
@@ -92,10 +92,6 @@ func JointSearch(c Context, candidates []JointCandidate, opts explore.BatchOptio
 					Params: simParams(ctx, pt[0], ctx.BudgetPct, rate),
 					Reps:   ctx.SimReps,
 				}
-			}
-			if cc.Tiers != nil {
-				means, _, err := cc.Tiers.MeanRTs(tasks)
-				return means, err
 			}
 			return eng.MeanRTs(tasks)
 		}

@@ -24,7 +24,6 @@ import (
 	"mdsprint/internal/queuesim"
 	"mdsprint/internal/stats"
 	"mdsprint/internal/sweep"
-	"mdsprint/internal/tier"
 )
 
 // Context fixes the workload conditions (everything except the timeout/
@@ -53,12 +52,6 @@ type Context struct {
 	// Engine evaluates the model simulations; nil uses sweep.Shared(),
 	// so settings revisited across baselines are memoized.
 	Engine *sweep.Engine
-	// Tiers, when set, answers mean-RT queries through the staged
-	// estimator (analytic/cache/short/full ladder) instead of always
-	// running full-rep simulations; it supersedes Engine for scoring.
-	// Quantile probes (FewToMany, Adrenaline) still simulate directly —
-	// they need the full RT sample, not a mean.
-	Tiers *tier.Estimator
 }
 
 func (c Context) withDefaults() Context {
@@ -187,15 +180,4 @@ func normalSpeedQuantile(c Context, q float64) float64 {
 	p.ServiceRate = c.Dataset.MarginalRate
 	res := queuesim.MustRun(p)
 	return stats.Quantile(res.RTs, q)
-}
-
-// meanRT scores one task through the tier estimator when the context
-// sets one, else through the sweep engine.
-func (c Context) meanRT(task sweep.Task) (float64, error) {
-	if c.Tiers != nil {
-		mean, _, err := c.Tiers.MeanRT(task)
-		return mean, err
-	}
-	pred, err := sweep.Or(c.Engine).Evaluate(task)
-	return pred.MeanRT, err
 }

@@ -1,16 +1,13 @@
 package policies
 
 import (
-	"math"
 	"testing"
 
 	"mdsprint/internal/mech"
-	"mdsprint/internal/obs"
 	"mdsprint/internal/profiler"
 	"mdsprint/internal/queuesim"
 	"mdsprint/internal/sprint"
 	"mdsprint/internal/sweep"
-	"mdsprint/internal/tier"
 	"mdsprint/internal/workload"
 )
 
@@ -105,16 +102,16 @@ func TestAdrenalineTimeoutIsTailPercentile(t *testing.T) {
 	}
 }
 
-// expectedRT scores a setting's mean response time at sprintRate
-// through c.meanRT, the path JointSearch scores its candidates on.
+// expectedRT scores a setting's mean response time at sprintRate on the
+// context's sweep engine, as JointSearch scores its candidates.
 func expectedRT(t *testing.T, c Context, s Setting, sprintRate float64) float64 {
 	t.Helper()
 	c = c.withDefaults()
-	mean, err := c.meanRT(sweep.Task{Params: simParams(c, s.Timeout, s.BudgetPct, sprintRate), Reps: c.SimReps})
+	pred, err := sweep.Or(c.Engine).Evaluate(sweep.Task{Params: simParams(c, s.Timeout, s.BudgetPct, sprintRate), Reps: c.SimReps})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return mean
+	return pred.MeanRT
 }
 
 func TestExpectedRTOrdersPolicies(t *testing.T) {
@@ -144,34 +141,5 @@ func TestThrottleMatchesSection43Rates(t *testing.T) {
 	}
 	if got := sprint.ToQPH(c.Dataset.MarginalRate); got < 60 || got > 76 {
 		t.Fatalf("throttled sprint rate %v qph, want ~70", got)
-	}
-}
-
-// TestExpectedRTViaTiers checks that meanRT's tiered path answers within
-// its advertised error bound of the direct engine evaluation, and that
-// the estimator actually saw the queries.
-func TestExpectedRTViaTiers(t *testing.T) {
-	c := throttledJacobi(t)
-	s := BigBurst(c)
-	rate := c.Dataset.MarginalRate
-
-	full := expectedRT(t, c, s, rate)
-
-	tc := c
-	var err error
-	tc.Tiers, err = tier.New(tier.Spec{Bound: 0.1}, tier.Options{
-		Engine:  sweep.New(sweep.Options{Metrics: obs.NewRegistry()}),
-		Metrics: obs.NewRegistry(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiered := expectedRT(t, tc, s, rate)
-
-	if rel := math.Abs(tiered-full) / full; rel > tc.Tiers.Spec().Bound {
-		t.Fatalf("tiered mean RT %v vs full %v: relative error %.3f exceeds bound", tiered, full, rel)
-	}
-	if st := tc.Tiers.Stats(); st.Answers == 0 {
-		t.Fatal("tier estimator saw no queries")
 	}
 }

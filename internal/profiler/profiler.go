@@ -115,6 +115,19 @@ type Dataset struct {
 // MarginalSpeedup returns mu_m / mu, the measured whole-execution speedup.
 func (d *Dataset) MarginalSpeedup() float64 { return d.MarginalRate / d.ServiceRate }
 
+// ConditionMarginal returns mu_m for a condition: the measured marginal
+// rate, clipped when the condition commands a lower sprint rate. The
+// calibration search and the models both start from it.
+func (d *Dataset) ConditionMarginal(cond Condition) float64 {
+	mum := d.MarginalRate
+	if cond.Speedup > 0 {
+		if cap := cond.Speedup * d.ServiceRate; cap < mum {
+			mum = cap
+		}
+	}
+	return mum
+}
+
 // ServiceDist returns the empirical distribution over ServiceSamples, or
 // nil when there are none. It is built on first use and shared by every
 // later caller, concurrent ones included.

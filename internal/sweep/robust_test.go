@@ -4,30 +4,34 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
 
+	"mdsprint/internal/dist"
 	"mdsprint/internal/obs"
 )
 
-// TestPoolSurvivesInjectedPanics is the ISSUE's no-panic-kills-the-pool
-// guarantee: a hook panicking on some tasks must surface per-task
-// errors, leave every other task's result intact, and leave the engine
-// fully usable for the next batch.
+// panicService is a service distribution whose Sample panics: a
+// simulator task built on it fails inside the worker.
+type panicService struct{ dist.Exponential }
+
+func (panicService) Sample(*dist.RNG) float64 { panic("chaos says no") }
+
+// TestPoolSurvivesInjectedPanics is the no-panic-kills-the-pool
+// guarantee: tasks whose simulation panics must surface per-task errors,
+// leave every other task's result intact, and leave the engine fully
+// usable for the next batch.
 func TestPoolSurvivesInjectedPanics(t *testing.T) {
 	tasks := testGrid()
 	isVictim := func(i int) bool { return i == 3 || i == 11 || i == 20 }
-	var disarmed atomic.Bool
-	e := New(Options{
-		Workers: 4, CacheSize: -1, Metrics: obs.NewRegistry(),
-		TaskHook: func(i int, _ Task) error {
-			if !disarmed.Load() && isVictim(i) {
-				panic("chaos says no")
-			}
-			return nil
-		},
-	})
-	preds, err := e.EvaluateAll(context.Background(), tasks)
+	faulty := make([]Task, len(tasks))
+	for i, task := range tasks {
+		if isVictim(i) {
+			task.Params.Service = panicService{dist.NewExponential(task.Params.ServiceRate)}
+		}
+		faulty[i] = task
+	}
+	e := New(Options{Workers: 4, CacheSize: -1, Metrics: obs.NewRegistry()})
+	preds, err := e.EvaluateAll(context.Background(), faulty)
 	if err == nil {
 		t.Fatal("expected the batch to report the panicked tasks")
 	}
@@ -51,7 +55,6 @@ func TestPoolSurvivesInjectedPanics(t *testing.T) {
 		t.Fatalf("RecoveredPanics = %d, want 3", got)
 	}
 	// The pool must still work: same engine, clean batch.
-	disarmed.Store(true)
 	again, err := e.EvaluateAll(context.Background(), tasks)
 	if err != nil {
 		t.Fatalf("engine unusable after recovered panics: %v", err)
@@ -63,54 +66,17 @@ func TestPoolSurvivesInjectedPanics(t *testing.T) {
 	}
 }
 
-func TestBatchReportsLowestIndexedHookError(t *testing.T) {
+// TestBatchReportsLowestIndexedError: with two invalid tasks in a batch,
+// the batch error names the lower index whichever worker fails first.
+func TestBatchReportsLowestIndexedError(t *testing.T) {
 	tasks := testGrid()
-	e := New(Options{
-		Workers: 4, Metrics: obs.NewRegistry(),
-		TaskHook: func(i int, _ Task) error {
-			if i == 9 || i == 4 {
-				return errors.New("injected")
-			}
-			return nil
-		},
-	})
+	for _, i := range []int{9, 4} {
+		tasks[i].Params.ArrivalRate = -1 // rejected by the simulator's validation
+	}
+	e := New(Options{Workers: 4, Metrics: obs.NewRegistry()})
 	_, err := e.EvaluateAll(context.Background(), tasks)
 	if err == nil || !strings.Contains(err.Error(), "task 4") {
 		t.Fatalf("batch error %v, want task 4 (the lowest failing index)", err)
-	}
-}
-
-// TestHookFaultsAreNotMemoized: the hook runs outside the cache, so an
-// injected failure must never poison the memoized result for its task.
-func TestHookFaultsAreNotMemoized(t *testing.T) {
-	tasks := testGrid()
-	var failing atomic.Bool
-	failing.Store(true)
-	e := New(Options{
-		Workers: 4, Metrics: obs.NewRegistry(),
-		TaskHook: func(i int, _ Task) error {
-			if failing.Load() {
-				return errors.New("injected")
-			}
-			return nil
-		},
-	})
-	if _, err := e.EvaluateAll(context.Background(), tasks); err == nil {
-		t.Fatal("setup: the failing batch must fail")
-	}
-	failing.Store(false)
-	got, err := e.EvaluateAll(context.Background(), tasks)
-	if err != nil {
-		t.Fatalf("cache poisoned by injected hook errors: %v", err)
-	}
-	want, werr := New(Options{Workers: 1, CacheSize: -1, Metrics: obs.NewRegistry()}).EvaluateAll(context.Background(), tasks)
-	if werr != nil {
-		t.Fatal(werr)
-	}
-	for i := range tasks {
-		if bitsOf(got[i]) != bitsOf(want[i]) {
-			t.Fatalf("task %d served a faulted result", i)
-		}
 	}
 }
 

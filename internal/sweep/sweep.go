@@ -51,12 +51,6 @@ type Task struct {
 // megabyte.
 const DefaultCacheSize = 4096
 
-// TaskHook runs before each batch task's evaluation, outside the
-// memoization cache — fault injectors use it to perturb individual
-// tasks without their failures ever being memoized. A non-nil return
-// fails the task; a panic is recovered and surfaced the same way.
-type TaskHook func(index int, t Task) error
-
 // Options configures an Engine.
 type Options struct {
 	// Workers bounds batch concurrency (0 means NumCPU).
@@ -68,8 +62,6 @@ type Options struct {
 	// Metrics receives the engine's counters and gauges; nil records
 	// into obs.Default().
 	Metrics *obs.Registry
-	// TaskHook, when set, runs before each batch task (see TaskHook).
-	TaskHook TaskHook
 }
 
 // Engine evaluates batches of simulator tasks on a worker pool with
@@ -77,7 +69,6 @@ type Options struct {
 type Engine struct {
 	workers int
 	cache   *cache // nil when memoization is disabled
-	hook    TaskHook
 
 	tasks     atomic.Uint64
 	evals     atomic.Uint64
@@ -115,7 +106,7 @@ func New(o Options) *Engine {
 	if size == 0 {
 		size = DefaultCacheSize
 	}
-	e := &Engine{workers: workers, hook: o.TaskHook}
+	e := &Engine{workers: workers}
 	if size > 0 {
 		e.cache = newCache(size)
 	}
@@ -310,10 +301,9 @@ func (e *Engine) bypass(p queuesim.Params, reps int) (queuesim.Prediction, error
 }
 
 // safePredict runs the simulator with panic containment: a panic in a
-// worker (injected by a chaos hook or escaping a simulator bug) is
-// recovered into that task's error instead of killing the pool. The
-// single-flight owner still calls finish, so waiters never deadlock on
-// a panicked owner.
+// worker (a simulator or distribution bug) is recovered into that task's
+// error instead of killing the pool. The single-flight owner still calls
+// finish, so waiters never deadlock on a panicked owner.
 func (e *Engine) safePredict(p queuesim.Params, reps int) (pred queuesim.Prediction, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -325,34 +315,14 @@ func (e *Engine) safePredict(p queuesim.Params, reps int) (pred queuesim.Predict
 	return queuesim.Predict(p, reps)
 }
 
-// runHook invokes the engine's task hook with the same panic
-// containment as safePredict.
-func (e *Engine) runHook(i int, t Task) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.panics.Add(1)
-			e.m.panics.Inc()
-			err = fmt.Errorf("sweep: recovered panic: %v", r)
-		}
-	}()
-	return e.hook(i, t)
-}
-
-// runTask is one batch task: hook (if any), then evaluation. When the
-// batch is traced, each task gets a "sweep.task" child span annotated
-// with the worker that ran it and the cache outcome.
+// runTask is one batch task's evaluation. When the batch is traced, each
+// task gets a "sweep.task" child span annotated with the worker that ran
+// it and the cache outcome.
 func (e *Engine) runTask(parent *obs.Span, worker, i int, t Task) (queuesim.Prediction, error) {
 	sp := parent.StartChild("sweep.task")
 	sp.SetInt("index", int64(i))
 	sp.SetInt("worker", int64(worker))
 	sp.SetFloat("timeout_s", t.Params.Timeout)
-	if e.hook != nil {
-		if err := e.runHook(i, t); err != nil {
-			sp.SetError(err)
-			sp.End()
-			return queuesim.Prediction{}, err
-		}
-	}
 	pred, outcome, err := e.evaluateOutcome(t)
 	sp.SetString("cache", outcome)
 	sp.SetError(err)

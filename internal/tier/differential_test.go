@@ -187,36 +187,19 @@ func TestDifferentialRunTwiceDeterministic(t *testing.T) {
 	}
 }
 
-// TestDifferentialWorkerCountInvariant: the batched tiered run is
-// bit-identical at any sweep worker count.
+// TestDifferentialWorkerCountInvariant: the tiered run is bit-identical
+// at any sweep worker count.
 func TestDifferentialWorkerCountInvariant(t *testing.T) {
 	tasks := diffGrid()
 	spec := Spec{Bound: 0.2}
-	var ref []queuesim.Prediction
-	var refDecs []Decision
-	for _, workers := range []int{1, 8} {
-		est, err := New(spec, Options{
-			Engine:  sweep.New(sweep.Options{Workers: workers, Metrics: obs.NewRegistry()}),
-			Metrics: obs.NewRegistry(),
-		})
-		if err != nil {
-			t.Fatal(err)
+	ref, refDecs := runTiered(t, spec, 1, tasks)
+	preds, decs := runTiered(t, spec, 8, tasks)
+	for i := range tasks {
+		if predBits(preds[i]) != predBits(ref[i]) {
+			t.Fatalf("workers=8 task %d: %+v != workers=1 %+v", i, preds[i], ref[i])
 		}
-		preds, decs, err := est.EstimateAll(tasks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref, refDecs = preds, decs
-			continue
-		}
-		for i := range tasks {
-			if predBits(preds[i]) != predBits(ref[i]) {
-				t.Fatalf("workers=%d task %d: %+v != workers=1 %+v", workers, i, preds[i], ref[i])
-			}
-			if decs[i] != refDecs[i] {
-				t.Fatalf("workers=%d task %d: decision %+v != %+v", workers, i, decs[i], refDecs[i])
-			}
+		if decs[i] != refDecs[i] {
+			t.Fatalf("workers=8 task %d: decision %+v != %+v", i, decs[i], refDecs[i])
 		}
 	}
 }

@@ -25,7 +25,6 @@
 package tier
 
 import (
-	"context"
 	"math"
 	"strings"
 	"sync/atomic"
@@ -454,15 +453,6 @@ func (e *Estimator) record(t Tier, errEst float64, esc uint32) {
 	e.m.errEst.Observe(errEst)
 }
 
-// taskReps resolves a task's replication count the way the sweep engine
-// does.
-func taskReps(t sweep.Task) int {
-	if t.Reps <= 0 {
-		return 1
-	}
-	return t.Reps
-}
-
 // tryAnalytic attempts the analytic tier for canonical params c. On
 // success it returns the prediction; otherwise it returns the
 // escalation reason bit. Quantiles are exact for the M/M/1-FIFO shape
@@ -492,42 +482,41 @@ func (e *Estimator) tryAnalytic(c queuesim.Params, reps int) (queuesim.Predictio
 	return pred, errEst, 0
 }
 
-// lookup walks the rungs that cost no simulation: the bypass check, the
-// analytic tier and the cache tier. ok reports a recorded answer;
-// otherwise dec carries the escalations so far and c the canonical
-// params the simulation rungs need.
-func (e *Estimator) lookup(t sweep.Task) (pred queuesim.Prediction, dec Decision, c queuesim.Params, ok bool) {
-	dec.Bound = e.spec.Bound
-	if t.Params.Tracer != nil || t.Params.Clock != nil {
+// Estimate answers one task with the cheapest sufficient tier: the
+// bypass check, the analytic and cache tiers (no simulation), then the
+// short replications unless the task bypasses or the spec disables
+// them, then the full evaluation.
+func (e *Estimator) Estimate(t sweep.Task) (queuesim.Prediction, Decision, error) {
+	dec := Decision{Bound: e.spec.Bound}
+	var c queuesim.Params
+	bypass := t.Params.Tracer != nil || t.Params.Clock != nil
+	if bypass {
 		dec.Escalations = EscBypass
-		return pred, dec, c, false
-	}
-	c = t.Params.Canonical()
-	pred, errEst, esc := e.tryAnalytic(c, taskReps(t))
-	if esc == 0 {
-		dec.Tier, dec.ErrEstimate = TierAnalytic, errEst
-		e.record(TierAnalytic, errEst, 0)
-		return pred, dec, c, true
-	}
-	dec.Escalations |= esc
-	if e.spec.NoCache {
-		dec.Escalations |= EscCacheOff
-	} else if pred, ok = e.eng.Lookup(t); ok {
-		dec.Tier = TierCache
-		e.record(TierCache, 0, dec.Escalations)
-		return pred, dec, c, true
 	} else {
-		dec.Escalations |= EscCacheMiss
+		c = t.Params.Canonical()
+		reps := t.Reps
+		if reps <= 0 {
+			reps = 1 // the sweep engine's default
+		}
+		pred, errEst, esc := e.tryAnalytic(c, reps)
+		if esc == 0 {
+			dec.Tier, dec.ErrEstimate = TierAnalytic, errEst
+			e.record(TierAnalytic, errEst, 0)
+			return pred, dec, nil
+		}
+		dec.Escalations |= esc
+		if e.spec.NoCache {
+			dec.Escalations |= EscCacheOff
+		} else if pred, ok := e.eng.Lookup(t); ok {
+			dec.Tier = TierCache
+			e.record(TierCache, 0, dec.Escalations)
+			return pred, dec, nil
+		} else {
+			dec.Escalations |= EscCacheMiss
+		}
 	}
-	return queuesim.Prediction{}, dec, c, false
-}
-
-// shortOrFull resolves one task past lookup, serially: the short
-// replications unless the task bypasses or the spec disables them, then
-// the full evaluation.
-func (e *Estimator) shortOrFull(t sweep.Task, c queuesim.Params, dec Decision) (queuesim.Prediction, Decision, error) {
 	switch {
-	case dec.Escalations&EscBypass != 0:
+	case bypass:
 	case e.spec.NoShort:
 		dec.Escalations |= EscShortOff
 	default:
@@ -554,112 +543,9 @@ func (e *Estimator) shortOrFull(t sweep.Task, c queuesim.Params, dec Decision) (
 	return pred, dec, err
 }
 
-// Estimate answers one task with the cheapest sufficient tier.
-func (e *Estimator) Estimate(t sweep.Task) (queuesim.Prediction, Decision, error) {
-	pred, dec, c, ok := e.lookup(t)
-	if ok {
-		return pred, dec, nil
-	}
-	return e.shortOrFull(t, c, dec)
-}
-
 // MeanRT is Estimate reduced to the mean response time — the quantity
 // every policy search and online decision scores on.
 func (e *Estimator) MeanRT(t sweep.Task) (float64, Decision, error) {
 	pred, dec, err := e.Estimate(t)
 	return pred.MeanRT, dec, err
-}
-
-// EstimateAll answers a batch, with all simulation (short replications
-// and full evaluations) sharded across the engine's workers. Results
-// land in task order and are bit-identical at any worker count; tier
-// choices match per-task Estimate calls made in the same engine state.
-func (e *Estimator) EstimateAll(tasks []sweep.Task) ([]queuesim.Prediction, []Decision, error) {
-	preds := make([]queuesim.Prediction, len(tasks))
-	decs := make([]Decision, len(tasks))
-	canon := make([]queuesim.Params, len(tasks))
-
-	// Pass 1: the lookup-cost tiers, inline. Survivors that may run
-	// short replications are shortable; the rest go straight to full.
-	var shortable, escalate []int
-	var subTasks []sweep.Task
-	for i, t := range tasks {
-		var ok bool
-		if preds[i], decs[i], canon[i], ok = e.lookup(t); ok {
-			continue
-		}
-		switch {
-		case decs[i].Escalations&EscBypass != 0:
-			escalate = append(escalate, i)
-		case e.spec.NoShort:
-			decs[i].Escalations |= EscShortOff
-			escalate = append(escalate, i)
-		default:
-			shortable = append(shortable, i)
-			for r := 0; r < e.spec.ShortReps; r++ {
-				subTasks = append(subTasks, e.shortTask(canon[i], r))
-			}
-		}
-	}
-
-	// Pass 2: every shortable task's short replications as one sweep
-	// batch. A batch error falls back to per-task resolution so one
-	// invalid task cannot change its neighbors' tier choices.
-	var firstErr error
-	if len(shortable) > 0 {
-		subPreds, err := e.eng.EvaluateAll(context.TODO(), subTasks)
-		for k, i := range shortable {
-			if err != nil {
-				var rerr error
-				preds[i], decs[i], rerr = e.shortOrFull(tasks[i], canon[i], decs[i])
-				if firstErr == nil {
-					firstErr = rerr
-				}
-				continue
-			}
-			subs := subPreds[k*e.spec.ShortReps : (k+1)*e.spec.ShortReps]
-			if pred, rel, fits := e.shortVerdict(canon[i], subs); fits {
-				decs[i].Tier, decs[i].ErrEstimate = TierShort, rel
-				preds[i] = pred
-				e.record(TierShort, rel, decs[i].Escalations)
-				continue
-			}
-			decs[i].Escalations |= EscShortCI
-			escalate = append(escalate, i)
-		}
-	}
-
-	// Pass 3: the survivors' full evaluations as one sweep batch. The
-	// earliest error wins: a serial-fallback failure from pass 2
-	// happened before anything pass 3 ran.
-	if len(escalate) > 0 {
-		fullTasks := make([]sweep.Task, len(escalate))
-		for k, i := range escalate {
-			fullTasks[k] = tasks[i]
-		}
-		fullPreds, err := e.eng.EvaluateAll(context.TODO(), fullTasks)
-		if firstErr == nil {
-			firstErr = err
-		}
-		for k, i := range escalate {
-			decs[i].Tier = TierFull
-			preds[i] = fullPreds[k]
-			e.record(TierFull, 0, decs[i].Escalations)
-		}
-	}
-	return preds, decs, firstErr
-}
-
-// MeanRTs is EstimateAll reduced to mean response times — the shape
-// policy searches score candidates with.
-func (e *Estimator) MeanRTs(tasks []sweep.Task) ([]float64, []Decision, error) {
-	preds, decs, err := e.EstimateAll(tasks)
-	if err != nil {
-		return nil, decs, err
-	}
-	out := make([]float64, len(preds))
-	for i, p := range preds {
-		out[i] = p.MeanRT
-	}
-	return out, decs, nil
 }

@@ -245,91 +245,6 @@ func TestEscalationMonotone(t *testing.T) {
 	}
 }
 
-// TestEstimateAllMatchesEstimate: the batched path must reproduce the
-// per-task path bit-for-bit — same tiers, same answers — given the same
-// (fresh) engine state.
-func TestEstimateAllMatchesEstimate(t *testing.T) {
-	tasks := []sweep.Task{
-		mm1Task(0.4, 1, 40000, 21),
-		sprintTask(1200, 22),
-		mm1Task(0.6, 1, 40000, 23),
-		sprintTask(1200, 24),
-		mm1Task(0.95, 1, 400, 25), // analytic bound blown: simulation tiers
-	}
-
-	batchEst := newTestEstimator(t, Spec{}, 4)
-	preds, decs, err := batchEst.EstimateAll(tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	serialEst := newTestEstimator(t, Spec{}, 4)
-	for i, task := range tasks {
-		p, d, err := serialEst.Estimate(task)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if predBits(p) != predBits(preds[i]) {
-			t.Fatalf("task %d: batch %+v != serial %+v", i, preds[i], p)
-		}
-		if d.Tier != decs[i].Tier || d.Escalations != decs[i].Escalations {
-			t.Fatalf("task %d: batch decision %+v != serial %+v", i, decs[i], d)
-		}
-	}
-
-	// MeanRTs is the same pass reduced to means.
-	meansEst := newTestEstimator(t, Spec{}, 4)
-	means, mdecs, err := meansEst.MeanRTs(tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range tasks {
-		if math.Float64bits(means[i]) != math.Float64bits(preds[i].MeanRT) {
-			t.Fatalf("task %d: MeanRTs %v != EstimateAll %v", i, means[i], preds[i].MeanRT)
-		}
-		if mdecs[i].Tier != decs[i].Tier {
-			t.Fatalf("task %d: MeanRTs tier %v != EstimateAll %v", i, mdecs[i].Tier, decs[i].Tier)
-		}
-	}
-}
-
-// TestEstimateAllWorkerInvariance: answers are bit-identical at any
-// sweep worker count — sharding is a throughput decision, never a
-// semantic one.
-func TestEstimateAllWorkerInvariance(t *testing.T) {
-	tasks := []sweep.Task{
-		sprintTask(1500, 31),
-		mm1Task(0.7, 1, 40000, 32),
-		sprintTask(1500, 33),
-		sprintTask(1500, 34),
-		mm1Task(0.9, 1, 600, 35),
-	}
-	var ref [][3]uint64
-	var refTiers []Tier
-	for _, workers := range []int{1, 4, 8} {
-		est := newTestEstimator(t, Spec{}, workers)
-		preds, decs, err := est.EstimateAll(tasks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			for i := range preds {
-				ref = append(ref, predBits(preds[i]))
-				refTiers = append(refTiers, decs[i].Tier)
-			}
-			continue
-		}
-		for i := range preds {
-			if predBits(preds[i]) != ref[i] {
-				t.Fatalf("workers=%d task %d: %+v diverges from workers=1", workers, i, preds[i])
-			}
-			if decs[i].Tier != refTiers[i] {
-				t.Fatalf("workers=%d task %d: tier %v != %v", workers, i, decs[i].Tier, refTiers[i])
-			}
-		}
-	}
-}
-
 // TestAnalyticErrModel pins the error model's shape: grows with
 // utilization and service variability, shrinks with simulated volume,
 // infinite outside stability.
@@ -488,46 +403,19 @@ func TestEscalationString(t *testing.T) {
 	}
 }
 
-// TestEstimateAllBatchErrorFallback poisons one task in a batch: the
-// short pass's batch evaluation fails, the estimator re-resolves every
-// shortable task serially (so the valid neighbors still get per-task
-// answers), and the poisoned task's error surfaces instead of a silent
-// zero prediction.
-func TestEstimateAllBatchErrorFallback(t *testing.T) {
+// TestEstimateReportsSimulationError: an invalid task fails its short
+// replications, escalates to the full tier and surfaces the simulator's
+// error instead of a silent zero prediction.
+func TestEstimateReportsSimulationError(t *testing.T) {
 	est := newTestEstimator(t, Spec{NoAnalytic: true, NoCache: true}, 2)
-	good := mm1Task(0.7, 1, 2000, 11)
 	bad := mm1Task(0.7, 1, 2000, 12)
 	bad.Params.ArrivalRate = -1 // rejected by the simulator's validation
-	preds, decs, err := est.EstimateAll([]sweep.Task{good, bad})
+	_, dec, err := est.Estimate(bad)
 	if err == nil {
-		t.Fatal("poisoned batch returned no error")
+		t.Fatal("invalid task returned no error")
 	}
-	if preds[0].MeanRT <= 0 {
-		t.Fatalf("valid neighbor got no answer: %+v", preds[0])
-	}
-	if decs[1].Tier != TierFull || decs[1].Escalations&EscShortErr == 0 {
-		t.Fatalf("poisoned task decision %+v: want full tier with short-err", decs[1])
-	}
-	// The valid task's serial-fallback answer must match what a direct
-	// Estimate produces on a fresh estimator (same engine state rules).
-	fresh := newTestEstimator(t, Spec{NoAnalytic: true, NoCache: true}, 2)
-	want, wantDec, err := fresh.Estimate(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if preds[0] != want || decs[0].Tier != wantDec.Tier {
-		t.Fatalf("fallback answer %+v (tier %v) != serial %+v (tier %v)", preds[0], decs[0].Tier, want, wantDec.Tier)
-	}
-}
-
-// TestEstimateAllFullBatchError drives the NoShort path into a failing
-// full-tier batch and checks the error propagates.
-func TestEstimateAllFullBatchError(t *testing.T) {
-	est := newTestEstimator(t, Spec{NoAnalytic: true, NoCache: true, NoShort: true}, 2)
-	bad := mm1Task(0.5, 1, 1000, 3)
-	bad.Params.ArrivalRate = -1
-	if _, _, err := est.EstimateAll([]sweep.Task{bad}); err == nil {
-		t.Fatal("invalid full-tier batch returned no error")
+	if dec.Tier != TierFull || dec.Escalations&EscShortErr == 0 {
+		t.Fatalf("invalid task decision %+v: want full tier with short-err", dec)
 	}
 }
 
